@@ -8,6 +8,7 @@ derived, never trusted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .geometry import INFEASIBLE, return_position, start_window
@@ -38,6 +39,8 @@ class DeliveryPoint:
     def __post_init__(self):
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"delivery point must be finite, got ({self.x}, {self.y})")
         if self.y == 0.0:
             raise ValueError("delivery points must lie off the truck's axis")
 
@@ -55,6 +58,9 @@ class Instance:
         object.__setattr__(self, "v", float(self.v))
         object.__setattr__(self, "R", float(self.R))
         object.__setattr__(self, "truck_start", float(self.truck_start))
+        for name in ("v", "R", "truck_start"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.v > 1.0:
             raise ValueError(f"drone speed must exceed truck speed 1, got v={self.v}")
         if not self.R > 0.0:

@@ -16,6 +16,8 @@ from .model import Delivery, Instance, Schedule, earliest_start_pack
 from .proper import NotProperError, check_proper
 
 GREEDY_TIE_TOL = 1e-9
+# landings evaluated per block of dp_table columns; keeps temporaries in cache
+_DP_BLOCK_CELLS = 8192
 
 
 class BudgetError(ValueError):
@@ -78,7 +80,23 @@ class DpTable:
 
 
 def dp_table(inst: Instance) -> DpTable:
-    """Fill the table over points ranked left to right."""
+    """Fill the table over points ranked left to right.
+
+    Row r+1 takes, for each rank j, the earliest landing over predecessors
+    p < j of row r.  The loop evaluates only the cells that can matter, and
+    the skips are exact: the table equals the dense n x n evaluation bit
+    for bit.
+      - A predecessor whose entry is +inf launches at +inf and so lands at
+        +inf; only the live (finite) predecessors are evaluated.
+      - Rank j needs a live predecessor of lower rank, so columns up to the
+        first live rank stay +inf, and each block of columns only sees the
+        live predecessors left of its last column.
+      - A cell left at +inf gets parent 0, which is what argmin over an
+        all-+inf dense column returns.  Row 0 keeps the parents -1.
+    The columns are walked in blocks of about _DP_BLOCK_CELLS landings, so
+    the temporaries stay cache-sized and the cost per cell does not depend
+    on n: the growth stays cubic, as the paper's algorithm is.
+    """
     n = len(inst.points)
     ranks = tuple(sorted(range(n), key=lambda i: (inst.points[i].x, inst.points[i].y, i)))
     xs = np.array([inst.points[i].x for i in ranks])
@@ -92,19 +110,30 @@ def dp_table(inst: Instance) -> DpTable:
 
     row = return_positions(inst.truck_start, xs, ys, inst.v, inst.R, windows=windows)
     parent = np.full(n, -1, dtype=int)
-    # predecessor must be strictly left in rank order
-    earlier = np.triu(np.ones((n, n), dtype=bool), k=1)
     while np.isfinite(row).any():
         rows.append(row)
         parents.append(parent)
         if len(rows) == n:
             break
-        # land[j_prev, j] = landing when the rank-j point follows a chain
-        # that ended at rank j_prev
-        land = return_positions(row[:, None], xs, ys, inst.v, inst.R, windows=windows)
-        land = np.where(earlier, land, np.inf)
-        row = land.min(axis=0)
-        parent = land.argmin(axis=0)
+        live = np.flatnonzero(np.isfinite(row))
+        width = max(1, _DP_BLOCK_CELLS // len(live))
+        next_row = np.full(n, np.inf)
+        parent = np.zeros(n, dtype=int)
+        for c0 in range(live[0] + 1, n, width):
+            c1 = min(c0 + width, n)
+            # live ranks left of the block's last column
+            prev = live[: np.searchsorted(live, c1 - 1)]
+            # land[k, c] = landing when rank c0+c follows a chain that
+            # ended at rank prev[k]
+            land = return_positions(row[prev][:, None], xs[c0:c1], ys[c0:c1],
+                                    inst.v, inst.R,
+                                    windows=tuple(w[c0:c1] for w in windows))
+            # predecessor must be strictly left in rank order
+            land = np.where(prev[:, None] < np.arange(c0, c1), land, np.inf)
+            best = land.min(axis=0)
+            next_row[c0:c1] = best
+            parent[c0:c1] = np.where(np.isfinite(best), prev[land.argmin(axis=0)], 0)
+        row = next_row
     return DpTable(np.array(rows), np.array(parents), ranks)
 
 

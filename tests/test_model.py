@@ -49,6 +49,14 @@ class TestDeliveryPoint:
         with pytest.raises(AttributeError):
             p.x = 5.0
 
+    @pytest.mark.parametrize("x, y", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 1.0),
+        (1.0, math.inf), (1.0, -math.inf),
+    ])
+    def test_rejects_non_finite(self, x, y):
+        with pytest.raises(ValueError, match="finite"):
+            DeliveryPoint(x, y)
+
 
 class TestInstance:
     def test_rejects_slow_drone(self):
@@ -58,6 +66,17 @@ class TestInstance:
     def test_rejects_nonpositive_range(self):
         with pytest.raises(ValueError):
             Instance(v=2.0, R=0.0)
+
+    @pytest.mark.parametrize("field", ["v", "R", "truck_start"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, bad):
+        kwargs = {"v": 2.0, "R": 10.0, "truck_start": 0.0, field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            Instance(points=[(5.0, 1.0)], **kwargs)
+
+    def test_rejects_non_finite_point(self):
+        with pytest.raises(ValueError, match="finite"):
+            Instance(v=2.0, R=10.0, points=[(5.0, 1.0), (math.nan, 1.0)])
 
     def test_coerces_pairs(self):
         inst = Instance(v=2.0, R=10.0, points=[(1.0, 1.0), (2.0, -1.0)])

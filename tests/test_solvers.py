@@ -6,9 +6,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truckdrone.generators import gen_greedy_tightness, gen_random_band, gen_random_proper
-from truckdrone.geometry import start_window
+from truckdrone.geometry import return_positions, start_window, window_arrays
 from truckdrone.model import (
     Instance,
     earliest_start_pack,
@@ -19,6 +21,7 @@ from truckdrone.model import (
 from truckdrone.proper import NotProperError
 from truckdrone.solvers import (
     BudgetError,
+    DpTable,
     dp_table,
     solve_dp_proper,
     solve_exact,
@@ -26,6 +29,7 @@ from truckdrone.solvers import (
 )
 
 from oracles import meeting_return
+from test_acceptance import _scaling_instance
 
 
 def minor_radius(v, R):
@@ -192,6 +196,83 @@ class TestDpTable:
                         assert math.isinf(cell)
                     else:
                         assert cell == pytest.approx(best, abs=1e-9 * scale)
+
+
+def _dense_dp_table(inst):
+    """Reference table: every row evaluates the full n x n landing matrix."""
+    n = len(inst.points)
+    ranks = tuple(sorted(range(n), key=lambda i: (inst.points[i].x, inst.points[i].y, i)))
+    xs = np.array([inst.points[i].x for i in ranks])
+    ys = np.array([inst.points[i].y for i in ranks])
+    windows = window_arrays(xs, ys, inst.v, inst.R)
+    if n == 0:
+        return DpTable(np.empty((0, 0)), np.empty((0, 0), dtype=int), ranks)
+    rows, parents = [], []
+    row = return_positions(inst.truck_start, xs, ys, inst.v, inst.R, windows=windows)
+    parent = np.full(n, -1, dtype=int)
+    earlier = np.triu(np.ones((n, n), dtype=bool), k=1)
+    while np.isfinite(row).any():
+        rows.append(row)
+        parents.append(parent)
+        if len(rows) == n:
+            break
+        land = return_positions(row[:, None], xs, ys, inst.v, inst.R, windows=windows)
+        land = np.where(earlier, land, np.inf)
+        row = land.min(axis=0)
+        parent = land.argmin(axis=0)
+    return DpTable(np.array(rows), np.array(parents), ranks)
+
+
+def assert_same_table(inst):
+    got, want = dp_table(inst), _dense_dp_table(inst)
+    assert got.ranks == want.ranks
+    assert np.array_equal(got.completions, want.completions)
+    assert np.array_equal(got.parents, want.parents)
+
+
+class TestDpTableMatchesDense:
+    """The live-cell table is the dense table, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 60, 200])
+    def test_random_proper(self, n):
+        # at n = 200 about 100 predecessors are live, so a row spans
+        # several column blocks
+        for seed in range(3 if n == 200 else 8):
+            assert_same_table(gen_random_proper(n, v=2.0, R=10.0, seed=seed))
+
+    def test_random_band_with_out_of_band_points(self):
+        # not proper, with sparse rows; every third point is lifted out of
+        # the band so its column stays +inf
+        m = minor_radius(2.5, 8.0)
+        for seed in range(10):
+            inst = gen_random_band(40, v=2.5, R=8.0, x_span=120.0, seed=seed)
+            assert_same_table(inst)
+            lifted = [(p.x, p.y * 1.5 if i % 3 == 0 else p.y)
+                      for i, p in enumerate(inst.points)]
+            assert any(abs(y) > m for _, y in lifted)
+            assert_same_table(Instance(2.5, 8.0, lifted))
+
+    def test_large_random_band(self):
+        assert_same_table(gen_random_band(200, v=2.0, R=10.0, x_span=400.0, seed=4))
+
+    def test_scaling_instance_of_check_9(self):
+        assert_same_table(_scaling_instance(150))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        v=st.floats(1.1, 5.0),
+        R=st.floats(0.5, 12.0),
+        start=st.floats(-10.0, 10.0),
+        pts=st.lists(
+            st.tuples(st.floats(-20.0, 40.0), st.floats(0.05, 6.0), st.booleans()),
+            max_size=9,
+        ),
+    )
+    def test_property_small_instances(self, v, R, start, pts):
+        # heights reach past the band for small R, so some points are out
+        # of reach; equal abscissas exercise the rank tie-break
+        points = [(round(x), y if up else -y) for x, y, up in pts]
+        assert_same_table(Instance(v, R, points, truck_start=start))
 
 
 class TestDpProper:
