@@ -6,7 +6,7 @@ Schedule files:  {"deliveries": [{"point","start","return"}..], "count": ..}
 Unknown fields are rejected.  Numbers are written with 17 significant
 digits, so parsing a file we wrote and writing it again reproduces it
 byte for byte.  Exit codes: 0 success, 1 solver/verification refusal,
-2 bad usage or unparseable input.
+2 bad usage or unusable input (any ValueError the library raises).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .generators import (
 from .model import (
     DEFAULT_TOL,
     Delivery,
+    DeliveryPoint,
     Instance,
-    InvalidScheduleError,
     Schedule,
     verify_schedule,
 )
@@ -84,8 +84,11 @@ def _write_out(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as f:
-            f.write(text)
+        try:
+            with open(path, "w") as f:
+                f.write(text)
+        except OSError as e:
+            raise CliError(f"cannot write {path}: {e}") from e
 
 
 # --- strict parsing ---------------------------------------------------------
@@ -97,7 +100,7 @@ def _need_number(obj, key: str, where: str) -> float:
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise CliError(f"{where}: field '{key}' must be a number")
-    if not math.isfinite(val):
+    if not abs(val) <= sys.float_info.max:  # NaN, inf, or an int past any float
         raise CliError(f"{where}: field '{key}' must be finite")
     return float(val)
 
@@ -137,14 +140,14 @@ def load_instance(path: str) -> Instance:
         _need_keys(entry, {"x", "y"}, {"x", "y"}, where)
         x = _need_number(entry, "x", where)
         y = _need_number(entry, "y", where)
-        if y == 0.0:
-            raise CliError(f"{where}: y must be nonzero")
-        pts.append((x, y))
-    if not v > 1.0:
-        raise CliError(f"{path}: need v > 1")
-    if not R > 0.0:
-        raise CliError(f"{path}: need R > 0")
-    return Instance(v, R, tuple(pts), truck_start=s0)
+        try:
+            pts.append(DeliveryPoint(x, y))
+        except ValueError as e:
+            raise CliError(f"{where}: {e}") from e
+    try:
+        return Instance(v, R, tuple(pts), truck_start=s0)
+    except ValueError as e:
+        raise CliError(f"{path}: {e}") from e
 
 
 def load_schedule(path: str) -> Schedule:
@@ -201,13 +204,10 @@ def cmd_solve(args) -> int:
             sched = solve_dp_proper(inst, require_proper=not args.allow_nonproper)
         else:
             sched = solve_exact(inst, max_points=args.max_points)
-    except NotProperError as e:
-        print(f"dp refused: {e}", file=sys.stderr)
+    except (NotProperError, BudgetError) as e:
+        print(f"{args.algo} refused: {e}", file=sys.stderr)
         return 1
-    except BudgetError as e:
-        print(f"exact refused: {e}", file=sys.stderr)
-        return 1
-    report = verify_schedule(inst, sched, tol=args.tolerance)
+    report = verify_schedule(inst, sched)
     _write_out(schedule_to_json(sched), args.output)
     print(
         f"{args.algo}: count={sched.count} completion={_fmt_num(report.completion)}",
@@ -219,10 +219,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     inst = load_instance(args.instance)
     sched = load_schedule(args.schedule)
-    try:
-        report = verify_schedule(inst, sched, tol=args.tolerance)
-    except InvalidScheduleError as e:
-        raise CliError(str(e)) from e
+    report = verify_schedule(inst, sched, tol=args.tolerance)
     sys.stdout.write(emit_json({
         "feasible": report.feasible,
         "violations": [{"entry": j, "reason": r} for j, r in report.violations],
@@ -275,8 +272,6 @@ def cmd_gen(args) -> int:
                 print(f"certificate written to {cert_path}", file=sys.stderr)
             else:
                 sys.stderr.write(cert_json)
-    except ValueError as e:
-        raise CliError(str(e)) from e
     except GenerationError as e:
         print(f"generation failed: {e}", file=sys.stderr)
         return 1
@@ -330,10 +325,7 @@ def cmd_render(args) -> int:
     sched = load_schedule(args.schedule) if args.schedule else None
     if sched is not None:
         # indices must resolve against this instance before drawing
-        try:
-            verify_schedule(inst, sched)
-        except InvalidScheduleError as e:
-            raise CliError(str(e)) from e
+        verify_schedule(inst, sched)
     svg = render_svg(inst, sched, show_windows=args.show_windows,
                      show_ellipses=args.show_ellipses)
     _write_out(svg, args.out)
@@ -354,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("greedy", "dp", "exact"), required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None, help="schedule JSON (default stdout)")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     p.add_argument("--allow-nonproper", action="store_true",
                    help="let dp run as a heuristic on non-proper instances")
     p.add_argument("--max-points", type=int, default=10,
@@ -410,7 +401,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

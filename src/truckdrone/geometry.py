@@ -97,6 +97,17 @@ def start_window(d, v: float, R: float) -> StartWindow | None:
     return StartWindow(es=es, ls=ls, er=es + gap, lr=ls + gap, half_width=half)
 
 
+def _flight_time(dx, a, v):
+    """Flight time for a launch dx past a point at distance a; arrays work too.
+
+    Meeting condition: a + sqrt((dx + t)^2 + y^2) = v*t.  Squaring it with
+    a^2 = dx^2 + y^2 leaves t = 2(v*a + dx)/(v^2 - 1), and adds no root, as
+    a >= |dx| and v^2 + 1 >= 2v give v*t >= a.  The inputs are relative to
+    the point, so no term cancels far from the origin.
+    """
+    return 2.0 * (v * a + dx) / (v * v - 1.0)
+
+
 def return_position(s: float, d, v: float, R: float) -> float:
     """Abscissa where the drone lands after serving d from launch s.
 
@@ -104,22 +115,14 @@ def return_position(s: float, d, v: float, R: float) -> float:
     the window opens, so the landing clamps to er.  Launching after the
     window (or at an out-of-reach point) is INFEASIBLE.
     """
-    _check_params(v, R)
     x, y = _point_xy(d)
     w = start_window((x, y), v, R)
-    if w is None:
-        return INFEASIBLE
-    if s > w.ls:
+    if w is None or s > w.ls:
         return INFEASIBLE
     if s < w.es:
         return w.er
-    # meeting condition: drone path length out and back equals v times the
-    # truck's travel from s to the landing abscissa
-    a = math.sqrt(y * y + (s - x) * (s - x))
-    vv1 = v * v - 1.0
-    b = s * v * v + a * v - x
-    rad = b * b - s * vv1 * (b + s + a * v - x)
-    return s + (s + a * v - x + math.sqrt(max(0.0, rad))) / vv1
+    dx = s - x
+    return s + _flight_time(dx, math.sqrt(y * y + dx * dx), v)
 
 
 def round_trip_time(s: float, d, v: float, R: float) -> float:
@@ -134,10 +137,9 @@ def round_trip_time(s: float, d, v: float, R: float) -> float:
 def vertical_delivery_time(s: float, y: float, v: float) -> float:
     """Round-trip time to a point offset (s, y) behind the launch, no range cap.
 
-    Closed form for the meeting condition when the point sits at abscissa 0
-    and the drone launches at abscissa s >= 0, so the point is behind the
-    launch (x - s = -s):  t = 2(v*sqrt(s^2 + y^2) + s)/(v^2 - 1).  Used as a
-    reference curve; solvers never call it.
+    _flight_time for a point at abscissa 0 behind a launch at s >= 0
+    (dx = s):  t = 2(v*sqrt(s^2 + y^2) + s)/(v^2 - 1).  Used as a reference
+    curve; solvers never call it.
 
     Envelope.  For s >= 0 and v/4 <= y <= v/2,
 
@@ -152,7 +154,7 @@ def vertical_delivery_time(s: float, y: float, v: float) -> float:
     """
     if not v > 1.0:
         raise ValueError(f"drone speed must exceed truck speed 1, got v={v}")
-    return 2.0 * (v * math.sqrt(s * s + y * y) + s) / (v * v - 1.0)
+    return _flight_time(s, math.sqrt(s * s + y * y), v)
 
 
 # --- array plumbing ---------------------------------------------------------
@@ -198,14 +200,11 @@ def return_positions(s, xs, ys, v: float, R: float, windows=None):
     if windows is None:
         windows = window_arrays(xs, ys, v, R)
     es, ls, er, lr, in_band = windows
-    # evaluate the closed form on a clamped launch so placeholders and
-    # infinities never reach the square root
+    # evaluate on a clamped launch so placeholders and infinities never
+    # reach the flight time
     sc = np.clip(s, es, ls)
-    a = np.sqrt(ys * ys + (sc - xs) * (sc - xs))
-    vv1 = v * v - 1.0
-    b = sc * v * v + a * v - xs
-    rad = b * b - sc * vv1 * (b + sc + a * v - xs)
-    ret = sc + (sc + a * v - xs + np.sqrt(np.maximum(0.0, rad))) / vv1
+    dx = sc - xs
+    ret = sc + _flight_time(dx, np.sqrt(ys * ys + dx * dx), v)
     ret = np.where(s < es, er, ret)
     ret = np.where(s > ls, np.inf, ret)
     return np.where(in_band, ret, np.inf)

@@ -115,13 +115,20 @@ def instance_scale(inst: Instance) -> float:
     return scale
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:  # NaN would pass every slack comparison
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
 def verify_schedule(inst: Instance, sched: Schedule, tol: float = DEFAULT_TOL) -> FeasibilityReport:
     """Check a schedule against the instance, recomputing every landing.
 
     Landings stored in the schedule are ignored; only the launch abscissas
     matter.  Comparisons allow slack of tol times the instance scale.
-    Point indices outside the instance raise InvalidScheduleError.
+    Point indices outside the instance raise InvalidScheduleError, and a
+    tol that is negative or not finite raises ValueError.
     """
+    _check_tol(tol)
     n = len(inst.points)
     for j, d in enumerate(sched.deliveries):
         if not 0 <= d.point < n:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import start_window, window_arrays
-from .model import DEFAULT_TOL, Instance, instance_scale
+from .model import DEFAULT_TOL, Instance, _check_tol, instance_scale
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,10 @@ def check_proper(inst: Instance, tol: float = DEFAULT_TOL) -> ProperReport:
     Containment is closed: a point on a triangle edge or a window sharing
     both endpoints counts as a violation (identical windows violate in
     both directions).  Boundary cases within tolerance are flagged too,
-    erring toward "not proper".
+    erring toward "not proper".  A tol that is negative or not finite
+    raises ValueError.
     """
+    _check_tol(tol)
     n = len(inst.points)
     if n == 0:
         return ProperReport(True, (), (), ())

@@ -29,8 +29,8 @@ def solve_greedy(inst: Instance) -> Schedule:
 
     The truck position advances to each landing; points whose windows have
     closed are dropped.  When nothing is startable yet, the truck drives
-    to the next window opening.  Among equal earliest landings (within a
-    relative tolerance) the leftmost point wins, then the lowest index.
+    to the next window opening.  Among landings within GREEDY_TIE_TOL * R
+    of the earliest, the leftmost point wins, then the lowest index.
     """
     n = len(inst.points)
     if n == 0:
@@ -54,7 +54,7 @@ def solve_greedy(inst: Instance) -> Schedule:
         rets = return_positions(s, xs[cand], ys[cand], inst.v, inst.R,
                                 windows=tuple(w[cand] for w in windows))
         rmin = rets.min()
-        tied = np.flatnonzero(rets <= rmin + GREEDY_TIE_TOL * max(1.0, abs(rmin)))
+        tied = np.flatnonzero(rets <= rmin + GREEDY_TIE_TOL * inst.R)
         pick = tied[np.lexsort((cand[tied], xs[cand[tied]]))[0]]
         chosen = int(cand[pick])
         entries.append(Delivery(chosen, s, float(rets[pick])))

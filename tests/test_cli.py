@@ -18,6 +18,13 @@ def run_cli(*args):
     )
 
 
+def assert_usage_error(res, *fragments):
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    for text in fragments:
+        assert text in res.stderr
+
+
 @pytest.fixture()
 def proper_file(tmp_path):
     path = tmp_path / "proper.json"
@@ -50,6 +57,18 @@ class TestUsage:
         assert res.returncode == 2
         assert "error:" in res.stderr
 
+    def test_unwritable_output(self, tmp_path, proper_file):
+        missing = str(tmp_path / "no" / "such" / "out.json")
+        assert_usage_error(run_cli("solve", "--algo", "greedy", "--input",
+                                   str(proper_file), "--output", missing), missing)
+        assert_usage_error(run_cli("gen", "random", "--out", missing), missing)
+
+    def test_solve_has_no_tolerance_flag(self, proper_file):
+        # solver launches never pass ls, so a tolerance would change no output
+        res = run_cli("solve", "--algo", "greedy", "--input", str(proper_file),
+                      "--tolerance", "1e-9")
+        assert res.returncode == 2
+
 
 class TestInstanceFiles:
     def test_unknown_field_rejected(self, tmp_path, proper_file):
@@ -74,6 +93,24 @@ class TestInstanceFiles:
             {"v": 2.0, "R": 10.0, "points": [{"x": 1.0, "y": 0.0}]}
         ))
         assert run_cli("solve", "--algo", "greedy", "--input", str(bad)).returncode == 2
+
+    def test_model_errors_name_file_and_point(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(
+            {"v": 2.0, "R": 10.0, "points": [{"x": 1.0, "y": 3.0}, {"x": 1.0, "y": 0.0}]}
+        ))
+        res = run_cli("solve", "--algo", "greedy", "--input", str(bad))
+        assert_usage_error(res, f"{bad}: points[1]", "off the truck's axis")
+        for field, value in (("v", 1.0), ("R", 0.0)):
+            bad.write_text(json.dumps({"v": 2.0, "R": 10.0, "points": [], field: value}))
+            res = run_cli("solve", "--algo", "greedy", "--input", str(bad))
+            assert_usage_error(res, f"{bad}: ", f"{field}={value}")
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        bad = tmp_path / "huge.json"
+        bad.write_text('{"v": 2.0, "R": 1' + "0" * 400 + ', "points": []}')
+        res = run_cli("solve", "--algo", "greedy", "--input", str(bad))
+        assert_usage_error(res, "field 'R' must be finite")
 
     def test_nonnumeric_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -143,6 +180,21 @@ class TestSolveAndVerify:
         assert out["violations"]
         assert out["completion"] is None
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, proper_file, tol):
+        # a NaN slack would pass a start pushed far past its window
+        sched = tmp_path / "sched.json"
+        run_cli("solve", "--algo", "greedy", "--input", str(proper_file),
+                "--output", str(sched))
+        data = json.loads(sched.read_text())
+        data["deliveries"][-1]["start"] += 1000.0
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(data))
+        res = run_cli("verify", "--instance", str(proper_file), "--schedule", str(bad),
+                      "--tolerance", tol)
+        assert_usage_error(res, "tolerance")
+        assert res.stdout == ""
+
     def test_out_of_range_point_index_is_usage_error(self, tmp_path, proper_file):
         bad = tmp_path / "bad_sched.json"
         bad.write_text(json.dumps({
@@ -193,6 +245,11 @@ class TestCheckProper:
         res = run_cli("check-proper", "--input", str(proper_file))
         assert res.returncode == 0
         assert json.loads(res.stdout)["is_proper"] is True
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_usage_error(self, proper_file, tol):
+        res = run_cli("check-proper", "--input", str(proper_file), "--tolerance", tol)
+        assert_usage_error(res, "tolerance")
 
     def test_partition_instance_is_not_proper(self, tmp_path):
         inst = tmp_path / "part.json"

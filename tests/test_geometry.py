@@ -126,6 +126,20 @@ class TestReturnPosition:
             got = return_position(s, (x, y), v, R)
             assert got == pytest.approx(meeting_return(s, x, y, v, R), abs=1e-6)
 
+    @pytest.mark.parametrize("shift, rel", [(1e5, 1e-9), (1e7, 1e-7)])
+    def test_matches_bisection_far_from_origin(self, shift, rel):
+        # the flight time must not lose digits to the absolute abscissa
+        rng = random.Random(15)
+        for _ in range(300):
+            v = rng.uniform(1.05, 10.0)
+            R = rng.uniform(0.5, 100.0)
+            x, y = random_band_point(rng, v, R)
+            x += shift
+            w = start_window((x, y), v, R)
+            s = rng.uniform(w.es, w.ls)
+            trip = return_position(s, (x, y), v, R) - s
+            assert trip == pytest.approx(meeting_return(s, x, y, v, R) - s, rel=rel)
+
     def test_full_range_at_window_ends(self):
         rng = random.Random(4)
         for _ in range(300):

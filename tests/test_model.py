@@ -170,6 +170,14 @@ class TestVerifySchedule:
         assert report.feasible
         assert report.completion == pytest.approx(w.lr, rel=1e-9)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_bad_tolerance_raises(self, tol):
+        # a NaN slack would pass a start pushed far past its window
+        inst = two_point_instance()
+        w = start_window(inst.points[0], inst.v, inst.R)
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_schedule(inst, Schedule((Delivery(0, w.ls + 1000.0, 0.0),)), tol=tol)
+
     def test_entries_after_a_broken_window_are_flagged(self):
         inst = two_point_instance()
         w0 = start_window(inst.points[0], inst.v, inst.R)

@@ -136,6 +136,14 @@ class TestCheckProper:
         assert tight.nesting_violations == ()
 
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_bad_tolerance_raises(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            check_proper(Instance(v=2.0, R=10.0), tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            check_proper(Instance(v=2.0, R=10.0, points=[(5.0, 3.0), (5.0, 3.0)]), tol=tol)
+
+
 class TestIntervalOrderCheck:
     def test_disjoint_windows(self):
         m = minor_radius(2.0, 10.0)

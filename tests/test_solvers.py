@@ -333,3 +333,45 @@ class TestDpProper:
 
     def test_empty(self):
         assert solve_dp_proper(Instance(v=2.0, R=10.0)).count == 0
+
+
+def _shifted(inst, T):
+    return Instance(inst.v, inst.R, [(p.x + T, p.y) for p in inst.points],
+                    truck_start=inst.truck_start + T)
+
+
+def assert_shifted_by(base, moved, T, R):
+    assert moved.order == base.order
+    tol = 1e-12 * T + 1e-9 * R
+    for a, b in zip(base.deliveries, moved.deliveries):
+        assert abs(b.start - (a.start + T)) <= tol
+        assert abs(b.ret - (a.ret + T)) <= tol
+
+
+class TestTranslation:
+    """Shifting every abscissa by T shifts every launch and landing by T
+    and changes nothing else.  The shifted copy runs the DP without the
+    properness check, whose tolerance is still absolute."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        T=st.sampled_from([1e3, 1e5, 1e6]),
+        v=st.sampled_from([1.5, 2.0, 4.0]),
+        seed=st.integers(0, 10_000),
+        proper=st.booleans(),
+    )
+    def test_greedy_and_dp_commute_with_shift(self, T, v, seed, proper):
+        if proper:
+            inst = gen_random_proper(40, v=v, R=10.0, seed=seed)
+        else:
+            inst = gen_random_band(40, v=v, R=10.0, x_span=80.0, seed=seed)
+        moved = _shifted(inst, T)
+        assert_shifted_by(solve_greedy(inst), solve_greedy(moved), T, inst.R)
+        assert_shifted_by(solve_dp_proper(inst, require_proper=proper),
+                          solve_dp_proper(moved, require_proper=False), T, inst.R)
+
+    def test_greedy_ties_do_not_grow_with_abscissa(self):
+        # at step 81 two landings 8.9e-4 apart must not tie at T = 1e6
+        inst = gen_random_band(200, v=2.0, R=10.0, x_span=400.0, seed=4)
+        base = solve_greedy(inst)
+        assert_shifted_by(base, solve_greedy(_shifted(inst, 1e6)), 1e6, inst.R)
