@@ -195,15 +195,18 @@ def schedule_to_json(sched: Schedule) -> str:
 # --- commands ---------------------------------------------------------------
 
 
+# name -> solver(inst, args); a refusal raises NotProperError or BudgetError
+SOLVERS = {
+    "greedy": lambda inst, args: solve_greedy(inst),
+    "dp": lambda inst, args: solve_dp_proper(inst, require_proper=not args.allow_nonproper),
+    "exact": lambda inst, args: solve_exact(inst, max_points=args.max_points),
+}
+
+
 def cmd_solve(args) -> int:
     inst = load_instance(args.input)
     try:
-        if args.algo == "greedy":
-            sched = solve_greedy(inst)
-        elif args.algo == "dp":
-            sched = solve_dp_proper(inst, require_proper=not args.allow_nonproper)
-        else:
-            sched = solve_exact(inst, max_points=args.max_points)
+        sched = SOLVERS[args.algo](inst, args)
     except (NotProperError, BudgetError) as e:
         print(f"{args.algo} refused: {e}", file=sys.stderr)
         return 1
@@ -284,18 +287,13 @@ def cmd_compare(args) -> int:
     rows = []
     for algo in args.algos.split(","):
         algo = algo.strip()
-        if algo not in ("greedy", "dp", "exact"):
+        if algo not in SOLVERS:
             raise CliError(f"unknown algorithm {algo!r}")
         t0 = time.perf_counter()
         note = ""
         sched = None
         try:
-            if algo == "greedy":
-                sched = solve_greedy(inst)
-            elif algo == "dp":
-                sched = solve_dp_proper(inst)
-            else:
-                sched = solve_exact(inst, max_points=args.max_points)
+            sched = SOLVERS[algo](inst, args)
         except NotProperError:
             note = "not-proper"
         except BudgetError:
@@ -343,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run a solver on an instance file")
-    p.add_argument("--algo", choices=("greedy", "dp", "exact"), required=True)
+    p.add_argument("--algo", choices=tuple(SOLVERS), required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None, help="schedule JSON (default stdout)")
     p.add_argument("--allow-nonproper", action="store_true",
@@ -383,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algos", default="greedy,exact")
     p.add_argument("--max-points", type=int, default=10)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, allow_nonproper=False)
 
     p = sub.add_parser("render", help="draw an instance (and schedule) as SVG")
     p.add_argument("--instance", required=True)

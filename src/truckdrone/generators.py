@@ -6,9 +6,11 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import reach_envelope
-from .model import Instance, earliest_start_pack, verify_schedule
-from .proper import check_proper
+from .model import DEFAULT_TOL, Instance, earliest_start_pack, verify_schedule
+from .proper import _pair_violations, check_proper
 from .solvers import solve_exact, solve_greedy
 
 
@@ -108,67 +110,54 @@ def gen_random_band(n: int, v: float, R: float, x_span: float, seed: int) -> Ins
     return Instance(v, R, tuple(pts), truck_start=0.0)
 
 
-def _outside_triangle(px, py, base_left, ax, ay, base_right, margin) -> bool:
-    """Point strictly outside the closed triangle (base_left,0)-(ax,ay)-(base_right,0)."""
-    c1 = (ax - base_left) * py - ay * (px - base_left)
-    c2 = (base_right - ax) * (py - ay) + ay * (px - ax)
-    c3 = (base_left - base_right) * py
-    orient = -1.0 if ay > 0.0 else 1.0
-    return min(orient * c1, orient * c2, orient * c3) <= -margin
+# margin at which gen_random_proper rejects a candidate, well above the
+# checker's default, so that what it accepts passes check_proper
+_GEN_TOL = 1e3 * DEFAULT_TOL
 
 
 def gen_random_proper(n: int, v: float, R: float, seed: int,
                       max_rejections: int = 10_000) -> Instance:
     """Random proper instance, points placed left to right.
 
-    Each candidate must stagger its window strictly after every earlier
-    window and stay clear of every earlier point's triangle (and keep its
-    own triangle clear of them), with margins well above the checker's
-    tolerance.  Candidates violating that are rejected and redrawn; after
-    max_rejections the generator gives up.
+    Each candidate is placed right of the previous point so that its window
+    staggers after the previous one.  It must stay clear of every earlier
+    point's triangle, keep its own triangle clear of them, and nest in no
+    earlier window nor contain one; `proper._pair_violations` decides this
+    in both directions at a tolerance well above the checker's.  Candidates
+    violating that are rejected and redrawn; after max_rejections the
+    generator gives up.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     env = reach_envelope(v, R)
     M, m, F = env.major_radius, env.minor_radius, env.focal_gap
     rng = random.Random(seed)
-    accepted: list[tuple[float, float, float, float, float]] = []  # x, y, es, ls, lr
-    rejections = 0
-    while len(accepted) < n:
+    xs, ys = np.empty(n), np.empty(n)
+    k = rejections = 0
+    while k < n:
         mag = rng.uniform(0.08 * m, 0.95 * m)
         y = mag if rng.random() < 0.5 else -mag
         half = M * math.sqrt(max(0.0, 1.0 - (y * y) / (m * m)))
-        if not accepted:
+        if k == 0:
             x = rng.uniform(0.0, M)
         else:
-            px, _, _, pls, _ = accepted[-1]
-            prev_half = pls - (px - F / 2.0)
+            px = xs[k - 1]
+            prev_half = last_ls - (px - F / 2.0)
             slack = abs(prev_half - half)
             x = px + slack + rng.uniform(0.05, 1.2) * (F / 2.0 + max(prev_half, half))
-        es = x - F / 2.0 - half
-        ls = x - F / 2.0 + half
-        lr = ls + F
-        margin = 1e-6 * max(1.0, R, abs(x) + R)
-        ok = True
-        for ox, oy, oes, ols, olr in accepted:
-            if not (oes + margin < es and ols + margin < ls):
-                ok = False
-                break
-            if not _outside_triangle(x, y, oes, ox, oy, olr, margin * margin):
-                ok = False
-                break
-            if not _outside_triangle(ox, oy, es, x, y, lr, margin * margin):
-                ok = False
-                break
-        if ok:
-            accepted.append((x, y, es, ls, lr))
+        earlier = _pair_violations(xs[:k], ys[:k], x, y, v, R, _GEN_TOL)
+        later = _pair_violations(x, y, xs[:k], ys[:k], v, R, _GEN_TOL)
+        if not any(hits.any() for hits in (*earlier, *later)):
+            xs[k], ys[k] = x, y
+            last_ls = x - F / 2.0 + half
+            k += 1
         else:
             rejections += 1
             if rejections > max_rejections:
                 raise GenerationError(
                     f"gave up after {max_rejections} rejected candidates"
                 )
-    inst = Instance(v, R, tuple((x, y) for x, y, *_ in accepted), truck_start=0.0)
+    inst = Instance(v, R, tuple(zip(xs.tolist(), ys.tolist())), truck_start=0.0)
     report = check_proper(inst)
     if not report.is_proper:
         raise GenerationError("sampled instance failed the properness check")

@@ -166,6 +166,12 @@ def vertical_delivery_time(s: float, y: float, v: float) -> float:
 import numpy as np
 
 
+def _half_width(y, v: float, R: float):
+    """Start-window half-width at height y (start_window's half_width); arrays work too."""
+    m = _minor_radius(v, R)
+    return (R / 2.0) * np.sqrt(np.maximum(0.0, 1.0 - (y * y) / (m * m)))
+
+
 def window_arrays(xs, ys, v: float, R: float):
     """Vectorized start windows.
 
@@ -175,10 +181,8 @@ def window_arrays(xs, ys, v: float, R: float):
     _check_params(v, R)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    M = R / 2.0
-    m = _minor_radius(v, R)
-    in_band = np.abs(ys) <= m
-    half = M * np.sqrt(np.maximum(0.0, 1.0 - (ys * ys) / (m * m)))
+    in_band = np.abs(ys) <= _minor_radius(v, R)
+    half = _half_width(ys, v, R)
     gap = R / v
     es = xs - gap / 2.0 - half
     ls = xs - gap / 2.0 + half

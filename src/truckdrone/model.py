@@ -108,7 +108,7 @@ class FeasibilityReport:
 
 
 def instance_scale(inst: Instance) -> float:
-    """Magnitude used to turn the relative tolerance into an absolute one."""
+    """Magnitude that turns verify_schedule's relative tolerance into an absolute one."""
     scale = max(1.0, inst.R, abs(inst.truck_start))
     for p in inst.points:
         scale = max(scale, abs(p.x), abs(p.y))

@@ -5,6 +5,12 @@ spanned by another point's window endpoints on the axis and the point
 itself, and (b) no start window is contained in another.  On proper
 instances, serving points in increasing x order is never worse, which is
 what the dynamic program relies on.
+
+Both conditions are decided in one place, `_pair_violations`, relative to
+the apex of each triangle and with tolerances scaled by R alone, so
+properness does not depend on where on the road an instance sits.
+`check_proper` applies it to every pair; `gen_random_proper` applies it,
+with a wider margin, to each candidate it draws.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import start_window, window_arrays
-from .model import DEFAULT_TOL, Instance, _check_tol, instance_scale
+from .geometry import _half_width, _minor_radius, start_window
+from .model import DEFAULT_TOL, Instance, _check_tol
 
 
 @dataclass(frozen=True)
@@ -44,65 +50,59 @@ class NotProperError(ValueError):
         super().__init__("instance is not proper: " + "; ".join(parts))
 
 
+def _pair_violations(xa, ya, xb, yb, v: float, R: float, tol: float):
+    """Properness tests of point b against point a; arrays broadcast.
+
+    Returns (triangle, nested): b lies in a's closed triangle, and a's
+    window nests in b's.  Relative to a's apex (x_a, y_a), the triangle is
+    isosceles with half-base w_a = R/(2v) + h_a, h the window half-width,
+    so b is inside iff s_a*y_b >= 0 and
+
+        w_a*s_a*y_b + |y_a|*|x_b - x_a| <= |y_a|*w_a,    s_a = sign(y_a).
+
+    Every window is centred R/(2v) left of its point, so a's nests in b's
+    iff |x_b - x_a| <= h_b - h_a.  The tolerance is tol*R^2 on the area
+    form and tol*R on lengths.  Only x_b - x_a enters, so a shift of both
+    points changes nothing.  Both points must lie in the band.
+    """
+    ha, hb = _half_width(ya, v, R), _half_width(yb, v, R)
+    wa = R / (2.0 * v) + ha
+    sa, depth = np.sign(ya), np.abs(ya)
+    dx = np.abs(xb - xa)
+    nested = dx <= hb - ha + tol * R
+    base = sa * yb >= -tol * R
+    # the area form's left side, built in place so that only one n x n
+    # temporary lives beside it
+    area = dx
+    area *= depth
+    area += (sa * wa) * yb
+    triangle = base & (area <= depth * wa + tol * R * R)
+    return triangle, nested
+
+
 def check_proper(inst: Instance, tol: float = DEFAULT_TOL) -> ProperReport:
     """Scan all ordered pairs for properness violations.
 
     Containment is closed: a point on a triangle edge or a window sharing
     both endpoints counts as a violation (identical windows violate in
-    both directions).  Boundary cases within tolerance are flagged too,
-    erring toward "not proper".  A tol that is negative or not finite
-    raises ValueError.
+    both directions).  Boundary cases within tolerance (tol*R on lengths,
+    tol*R^2 on areas) are flagged too, erring toward "not proper".  A tol
+    that is negative or not finite raises ValueError.
     """
     _check_tol(tol)
-    n = len(inst.points)
-    if n == 0:
-        return ProperReport(True, (), (), ())
     xs = np.array([p.x for p in inst.points])
     ys = np.array([p.y for p in inst.points])
-    es, ls, er, lr, in_band = window_arrays(xs, ys, inst.v, inst.R)
-    out_of_band = tuple(int(i) for i in np.flatnonzero(~in_band))
-
-    scale = instance_scale(inst)
-    tol_len = tol * scale
-    tol_area = tol * scale * scale
-
+    in_band = np.abs(ys) <= _minor_radius(inst.v, inst.R)
     idx = np.flatnonzero(in_band)
-    triangles: list[tuple[int, int]] = []
-    nestings: list[tuple[int, int]] = []
-    if len(idx) >= 2:
-        E, L, LR = es[idx], ls[idx], lr[idx]
-        X, Y = xs[idx], ys[idx]
-        Ei, Li, LRi = E[:, None], L[:, None], LR[:, None]
-        Xi, Yi = X[:, None], Y[:, None]
-        Xj, Yj = X[None, :], Y[None, :]
-        off_diag = ~np.eye(len(idx), dtype=bool)
-
-        # point j against the closed triangle (es_i,0) (x_i,y_i) (lr_i,0);
-        # cross products oriented by the sign of y_i
-        c1 = (Xi - Ei) * Yj - Yi * (Xj - Ei)
-        c2 = (LRi - Xi) * (Yj - Yi) + Yi * (Xj - Xi)
-        c3 = (Ei - LRi) * Yj
-        orient = np.where(Y > 0.0, -1.0, 1.0)[:, None]
-        inside = (
-            (orient * c1 >= -tol_area)
-            & (orient * c2 >= -tol_area)
-            & (orient * c3 >= -tol_area)
-            & off_diag
-        )
-        for i, j in np.argwhere(inside):
-            triangles.append((int(idx[i]), int(idx[j])))
-
-        # window of i contained in window of j
-        nested = (
-            (E[None, :] <= Ei + tol_len)
-            & (Li <= L[None, :] + tol_len)
-            & off_diag
-        )
-        for i, j in np.argwhere(nested):
-            nestings.append((int(idx[i]), int(idx[j])))
-
+    X, Y = xs[idx], ys[idx]
+    triangle, nested = _pair_violations(X[:, None], Y[:, None], X, Y, inst.v, inst.R, tol)
+    np.fill_diagonal(triangle, False)
+    np.fill_diagonal(nested, False)
+    triangles = tuple(map(tuple, idx[np.argwhere(triangle)].tolist()))
+    nestings = tuple(map(tuple, idx[np.argwhere(nested)].tolist()))
+    out_of_band = tuple(np.flatnonzero(~in_band).tolist())
     ok = not triangles and not nestings and not out_of_band
-    return ProperReport(ok, tuple(triangles), tuple(nestings), out_of_band)
+    return ProperReport(ok, triangles, nestings, out_of_band)
 
 
 def interval_order_check(inst: Instance) -> bool:

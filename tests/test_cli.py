@@ -2,12 +2,19 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import truckdrone
 from truckdrone.cli import instance_to_json, load_instance, load_schedule, schedule_to_json
+
+# the child imports the same package as the tests, installed or not
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(truckdrone.__file__)))
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(*args):
@@ -15,6 +22,7 @@ def run_cli(*args):
         [sys.executable, "-m", "truckdrone", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
 
 
@@ -261,6 +269,19 @@ class TestCheckProper:
         out = json.loads(res.stdout)
         assert out["is_proper"] is False
         assert out["nesting_violations"]
+
+    def test_shifted_proper_instance_stays_proper(self, tmp_path, proper_file):
+        data = json.loads(proper_file.read_text())
+        data["truck_start"] += 1e6
+        for p in data["points"]:
+            p["x"] += 1e6
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(data))
+        res = run_cli("check-proper", "--input", str(moved))
+        assert res.returncode == 0, res.stdout
+        assert json.loads(res.stdout)["is_proper"] is True
+        res = run_cli("solve", "--algo", "dp", "--input", str(moved))
+        assert res.returncode == 0, res.stderr
 
 
 class TestGen:

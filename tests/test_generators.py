@@ -1,5 +1,6 @@
 """Tests for the instance generators."""
 
+import hashlib
 import math
 
 import pytest
@@ -144,6 +145,21 @@ class TestGenRandomProper:
         inst = gen_random_proper(12, v=3.0, R=5.0, seed=4)
         xs = [p.x for p in inst.points]
         assert xs == sorted(xs)
+
+    @pytest.mark.parametrize("n, seed", [(200, 19002), (200, 22003),
+                                         (1000, 1), (1000, 2), (1000, 3)])
+    def test_seeds_that_once_failed_the_check(self, n, seed):
+        # the candidate test and the checker are one kernel, so what the
+        # generator accepts is proper
+        inst = gen_random_proper(n, v=2.0, R=10.0, seed=seed)
+        assert len(inst) == n
+        assert check_proper(inst).is_proper
+
+    def test_draw_sequence_is_pinned(self):
+        inst = gen_random_proper(200, v=2.0, R=10.0, seed=11000)
+        text = ",".join(f"{p.x.hex()}:{p.y.hex()}" for p in inst.points)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f5c7e5e3b79f002712e437d2537203b67e43fb1b1f85844399fea9b8778896df")
 
     def test_deterministic(self):
         a = gen_random_proper(6, v=2.0, R=10.0, seed=11)

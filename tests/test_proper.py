@@ -4,12 +4,23 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from truckdrone.generators import gen_random_proper
-from truckdrone.geometry import start_window
+from truckdrone.generators import gen_random_band, gen_random_proper
+from truckdrone.geometry import start_window, window_arrays
 from truckdrone.model import Instance
-from truckdrone.proper import NotProperError, ProperReport, check_proper, interval_order_check
+from truckdrone.proper import (
+    NotProperError,
+    ProperReport,
+    _pair_violations,
+    check_proper,
+    interval_order_check,
+)
+
+from test_solvers import _shifted
 
 
 def minor_radius(v, R):
@@ -135,6 +146,23 @@ class TestCheckProper:
         tight = check_proper(inst, tol=1e-12)
         assert tight.nesting_violations == ()
 
+    @pytest.mark.parametrize("R", [0.01, 10.0, 1000.0])
+    def test_tolerances_scale_with_R(self, R):
+        # b sits a relative 0.5 or 2 tolerances outside a's triangle (area
+        # form, tol*R^2) or beyond nesting in a's window (tol*R)
+        v, tol = 2.0, 1e-6
+        m = minor_radius(v, R)
+        ya, yb = 0.5 * m, 0.25 * m
+        wa = 0.0 - start_window((0.0, ya), v, R).es
+        for k, flagged in ((0.5, True), (2.0, False)):
+            xb = wa * (1.0 - yb / ya) + k * tol * R * R / ya
+            report = check_proper(Instance(v=v, R=R, points=[(0.0, ya), (xb, yb)]), tol=tol)
+            assert ((0, 1) in report.triangle_violations) is flagged
+            ha = start_window((0.0, ya), v, R).half_width
+            hb = start_window((0.0, yb), v, R).half_width
+            xb = hb - ha + k * tol * R
+            report = check_proper(Instance(v=v, R=R, points=[(0.0, ya), (xb, yb)]), tol=tol)
+            assert ((0, 1) in report.nesting_violations) is flagged
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
     def test_bad_tolerance_raises(self, tol):
@@ -142,6 +170,87 @@ class TestCheckProper:
             check_proper(Instance(v=2.0, R=10.0), tol=tol)
         with pytest.raises(ValueError, match="tolerance"):
             check_proper(Instance(v=2.0, R=10.0, points=[(5.0, 3.0), (5.0, 3.0)]), tol=tol)
+
+
+class TestShiftInvariance:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        T=st.sampled_from([1e3, 1e5, 1e6, 1e7]),
+        v=st.sampled_from([1.5, 2.0, 4.0]),
+        seed=st.integers(0, 10_000),
+        proper=st.booleans(),
+    )
+    def test_shift_leaves_the_report_unchanged(self, T, v, seed, proper):
+        if proper:
+            inst = gen_random_proper(60, v=v, R=10.0, seed=seed)
+        else:
+            inst = gen_random_band(60, v=v, R=10.0, x_span=80.0, seed=seed)
+        assert check_proper(_shifted(inst, T)) == check_proper(inst)
+
+
+def _cross_products(X, Y, v, R):
+    """Reference triangle test in absolute coordinates: the three cross
+    products of point j against the triangle (es_i,0) (x_i,y_i) (lr_i,0),
+    oriented by the sign of y_i, so j is inside when all are >= 0."""
+    es, _, _, lr, _ = window_arrays(X, Y, v, R)
+    Ei, LRi = es[:, None], lr[:, None]
+    Xi, Yi = X[:, None], Y[:, None]
+    Xj, Yj = X[None, :], Y[None, :]
+    c1 = (Xi - Ei) * Yj - Yi * (Xj - Ei)
+    c2 = (LRi - Xi) * (Yj - Yi) + Yi * (Xj - Xi)
+    c3 = (Ei - LRi) * Yj
+    orient = np.where(Y > 0.0, -1.0, 1.0)[:, None]
+    return orient * c1, orient * c2, orient * c3
+
+
+def _differential_instances():
+    """Band instances near the origin, with same-x pairs and band-edge points."""
+    v, R = 2.0, 10.0
+    m = minor_radius(v, R)
+    for seed in range(12):
+        rng = random.Random(seed)
+        X, Y = [], []
+        for _ in range(40):
+            X.append(rng.uniform(0.0, 30.0))
+            Y.append(rng.uniform(1e-3, 1.0) * m * rng.choice((-1.0, 1.0)))
+        for k in range(0, 40, 5):  # a second point at the same abscissa
+            X.append(X[k])
+            Y.append(rng.uniform(1e-3, 1.0) * m * rng.choice((-1.0, 1.0)))
+        for k in range(0, 40, 7):  # band-edge points, windows of one abscissa
+            X.append(X[k] + rng.choice((0.0, rng.uniform(-3.0, 3.0))))
+            Y.append(m * rng.choice((-1.0, 1.0)))
+        yield np.array(X), np.array(Y), v, R
+
+
+class TestPairViolationsMatchCrossProducts:
+    def test_triangle_agrees_away_from_the_edges(self):
+        checked = hits = pairs = 0
+        for X, Y, v, R in _differential_instances():
+            pairs += len(X) * (len(X) - 1)
+            c1, c2, c3 = _cross_products(X, Y, v, R)
+            reference = (c1 >= 0) & (c2 >= 0) & (c3 >= 0)
+            clear = np.minimum(np.minimum(abs(c1), abs(c2)), abs(c3)) > 1e-12 * R * R
+            triangle, _ = _pair_violations(X[:, None], Y[:, None], X, Y, v, R, 0.0)
+            np.testing.assert_array_equal(triangle[clear], reference[clear])
+            checked += int(clear.sum())
+            hits += int(reference[clear].sum())
+        # both outcomes are exercised, and almost no pair is skipped
+        assert hits > 200 and checked > 0.99 * pairs
+
+    def test_nesting_agrees_away_from_the_ends(self):
+        checked = hits = pairs = 0
+        for X, Y, v, R in _differential_instances():
+            pairs += len(X) * (len(X) - 1)
+            es, ls, _, _, _ = window_arrays(X, Y, v, R)
+            d_es = es[None, :] - es[:, None]   # es_j - es_i
+            d_ls = ls[:, None] - ls[None, :]   # ls_i - ls_j
+            reference = (d_es <= 0) & (d_ls <= 0)
+            clear = np.minimum(abs(d_es), abs(d_ls)) > 1e-12 * R
+            _, nested = _pair_violations(X[:, None], Y[:, None], X, Y, v, R, 0.0)
+            np.testing.assert_array_equal(nested[clear], reference[clear])
+            checked += int(clear.sum())
+            hits += int(reference[clear].sum())
+        assert hits > 200 and checked > 0.99 * pairs
 
 
 class TestIntervalOrderCheck:

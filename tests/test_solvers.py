@@ -350,8 +350,7 @@ def assert_shifted_by(base, moved, T, R):
 
 class TestTranslation:
     """Shifting every abscissa by T shifts every launch and landing by T
-    and changes nothing else.  The shifted copy runs the DP without the
-    properness check, whose tolerance is still absolute."""
+    and changes nothing else, the properness verdict included."""
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(
@@ -368,7 +367,7 @@ class TestTranslation:
         moved = _shifted(inst, T)
         assert_shifted_by(solve_greedy(inst), solve_greedy(moved), T, inst.R)
         assert_shifted_by(solve_dp_proper(inst, require_proper=proper),
-                          solve_dp_proper(moved, require_proper=False), T, inst.R)
+                          solve_dp_proper(moved, require_proper=proper), T, inst.R)
 
     def test_greedy_ties_do_not_grow_with_abscissa(self):
         # at step 81 two landings 8.9e-4 apart must not tie at T = 1e6
