@@ -64,12 +64,13 @@ class ThreePartitionSpec:
 
 
 def gen_three_partition(spec: ThreePartitionSpec) -> tuple[Instance, int]:
-    """Instance whose maximum delivery count hits `expected` exactly when
-    the multiset splits into k triples of equal sum.
+    """Layout shaped after the paper's reduction from a numeric partition.
 
     Value points sit on the y-axis at their integer heights; separator and
     tail points sit on the band edge, reachable only from a single launch
-    abscissa each.  Returns (instance, expected count on yes-instances).
+    abscissa each.  Returns (instance, expected): the point count of this
+    pinned layout (acceptance check 8), not an optimum.  Yes-spec (1,1,1)
+    has optimum 4 against 7, and (1,2,3,2,2,2) 11 against 14.
     """
     T = spec.target
     v = float(T)

@@ -108,6 +108,14 @@ def _flight_time(dx, a, v):
     return 2.0 * (v * a + dx) / (v * v - 1.0)
 
 
+def _land(s: float, x: float, y: float, es: float, er: float, v: float) -> float:
+    """The one landing step: launch s <= ls serves (x, y); before es it lands at er."""
+    if s < es:
+        return er
+    dx = s - x
+    return s + _flight_time(dx, math.sqrt(y * y + dx * dx), v)
+
+
 def return_position(s: float, d, v: float, R: float) -> float:
     """Abscissa where the drone lands after serving d from launch s.
 
@@ -119,10 +127,7 @@ def return_position(s: float, d, v: float, R: float) -> float:
     w = start_window((x, y), v, R)
     if w is None or s > w.ls:
         return INFEASIBLE
-    if s < w.es:
-        return w.er
-    dx = s - x
-    return s + _flight_time(dx, math.sqrt(y * y + dx * dx), v)
+    return _land(s, x, y, w.es, w.er, v)
 
 
 def round_trip_time(s: float, d, v: float, R: float) -> float:

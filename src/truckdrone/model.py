@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import INFEASIBLE, return_position, start_window
+from .geometry import INFEASIBLE, _land, return_position, start_window
 
 DEFAULT_TOL = 1e-9
 
@@ -149,20 +149,14 @@ def verify_schedule(inst: Instance, sched: Schedule, tol: float = DEFAULT_TOL) -
                 violations.append((j, START_BEFORE_TRUCK))
         elif d.start < prev_ret - slack:
             violations.append((j, OVERLAP_PREVIOUS))
-        w = start_window(inst.points[d.point], inst.v, inst.R)
-        if w is None:
-            violations.append((j, OUT_OF_BAND))
-            prev_ret = INFEASIBLE
-            completion = INFEASIBLE
-            continue
-        if d.start > w.ls + slack:
-            violations.append((j, START_AFTER_WINDOW))
-            prev_ret = INFEASIBLE
-            completion = INFEASIBLE
+        p = inst.points[d.point]
+        w = start_window(p, inst.v, inst.R)
+        if w is None or d.start > w.ls + slack:
+            violations.append((j, OUT_OF_BAND if w is None else START_AFTER_WINDOW))
+            prev_ret = completion = INFEASIBLE
             continue
         # a start within tolerance past the window still lands from ls
-        launch = min(d.start, w.ls)
-        prev_ret = return_position(launch, inst.points[d.point], inst.v, inst.R)
+        prev_ret = _land(min(d.start, w.ls), p.x, p.y, w.es, w.er, inst.v)
         completion = prev_ret
     return FeasibilityReport(
         feasible=not violations,

@@ -7,11 +7,12 @@ runs on the same instance produce identical schedules.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import return_position, return_positions, start_window, window_arrays
+from .geometry import _land, return_position, return_positions, start_window, window_arrays
 from .model import Delivery, Instance, Schedule, earliest_start_pack
 from .proper import NotProperError, check_proper
 
@@ -27,40 +28,39 @@ class BudgetError(ValueError):
 def solve_greedy(inst: Instance) -> Schedule:
     """Repeatedly fly to the point that lands the drone earliest.
 
-    The truck position advances to each landing; points whose windows have
-    closed are dropped.  When nothing is startable yet, the truck drives
-    to the next window opening.  Among landings within GREEDY_TIE_TOL * R
-    of the earliest, the leftmost point wins, then the lowest index.
+    An event sweep over the truck position s, which advances to each
+    landing.  In-band points are sorted once by window opening (index
+    breaks ties); a pointer admits each point once es <= s, and the open
+    list drops it once ls < s, which is exact as s never decreases.  So
+    every open point has es <= s <= ls and lands, unclamped, at s plus its
+    flight time.  With nothing open, the truck drives to the next opening.
+    Among landings within GREEDY_TIE_TOL * R of the earliest, the leftmost
+    point wins, then the lowest index.  O(n log n + total open-list size).
     """
-    n = len(inst.points)
-    if n == 0:
-        return Schedule(())
-    xs = np.array([p.x for p in inst.points])
-    ys = np.array([p.y for p in inst.points])
-    es, ls, er, lr, in_band = window_arrays(xs, ys, inst.v, inst.R)
-    windows = (es, ls, er, lr, in_band)
-
+    xs = [p.x for p in inst.points]
+    ys = [p.y for p in inst.points]
+    es, ls, er, _, in_band = (w.tolist() for w in window_arrays(xs, ys, inst.v, inst.R))
+    order = sorted((i for i, ok in enumerate(in_band) if ok), key=es.__getitem__)
+    opens = [es[i] for i in order]
     s = inst.truck_start
-    active = in_band.copy()
+    admitted = 0
+    live: list[int] = []
     entries: list[Delivery] = []
     while True:
-        active &= ls >= s
-        if not active.any():
-            break
-        next_open = es[active].min()
-        if s < next_open:
-            s = float(next_open)
-        cand = np.flatnonzero(active & (es <= s))
-        rets = return_positions(s, xs[cand], ys[cand], inst.v, inst.R,
-                                windows=tuple(w[cand] for w in windows))
-        rmin = rets.min()
-        tied = np.flatnonzero(rets <= rmin + GREEDY_TIE_TOL * inst.R)
-        pick = tied[np.lexsort((cand[tied], xs[cand[tied]]))[0]]
-        chosen = int(cand[pick])
-        entries.append(Delivery(chosen, s, float(rets[pick])))
-        s = float(rets[pick])
-        active[chosen] = False
-        active &= lr >= s
+        stop = bisect_right(opens, s, admitted)
+        live = [i for i in live + order[admitted:stop] if ls[i] >= s]
+        admitted = stop
+        if not live:
+            if admitted == len(order):
+                break
+            s = opens[admitted]
+            continue
+        lands = [_land(s, xs[i], ys[i], es[i], er[i], inst.v) for i in live]
+        cutoff = min(lands) + GREEDY_TIE_TOL * inst.R
+        _, pick, ret = min((xs[i], i, r) for i, r in zip(live, lands) if r <= cutoff)
+        live.remove(pick)
+        entries.append(Delivery(pick, s, ret))
+        s = ret
     return Schedule(tuple(entries))
 
 

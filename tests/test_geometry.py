@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truckdrone import (
     INFEASIBLE,
@@ -332,6 +334,24 @@ class TestVectorized:
         got = return_positions(np.array(ss), np.array(xs), np.array(ys), v, R)
         for i in range(len(xs)):
             assert got[i] == return_position(ss[i], (xs[i], ys[i]), v, R)
+
+    @settings(max_examples=200)
+    @given(
+        v=st.floats(1.05, 8.0),
+        R=st.floats(0.1, 50.0),
+        T=st.sampled_from([0.0, 1e3, 1e5, 1e7, -1e7]),
+        x=st.floats(-20.0, 20.0),
+        frac=st.floats(-1.0, 1.0).filter(bool),
+        where=st.floats(-3.0, 3.0),
+    )
+    def test_property_matches_scalar_bitwise(self, v, R, T, x, frac, where):
+        # where < 0 launches before the window, 0..1 inside it, > 1 after it
+        y = frac * reach_envelope(v, R).minor_radius
+        w = start_window((x + T, y), v, R)
+        s = w.es + where * (w.ls - w.es) if w.ls > w.es else w.es + where
+        for launch in (s, w.es, w.ls):
+            got = return_positions(launch, [x + T], [y], v, R)[0]
+            assert got == return_position(launch, (x + T, y), v, R)
 
     def test_out_of_band_rows_masked(self):
         v, R = 2.0, 10.0

@@ -170,6 +170,30 @@ class TestVerifySchedule:
         assert report.feasible
         assert report.completion == pytest.approx(w.lr, rel=1e-9)
 
+    def test_landings_equal_return_position_bitwise(self):
+        # verify lands each entry from min(start, ls); a start before the
+        # window opens waits on the truck and lands at er
+        rng = random.Random(31)
+        for _ in range(200):
+            v, R = rng.uniform(1.2, 5.0), rng.uniform(1.0, 20.0)
+            m = minor_radius(v, R)
+            T = rng.choice([0.0, 1e4, 1e7])
+            pts = [(T + rng.uniform(0.0, 50.0), rng.uniform(-m, m) or m) for _ in range(5)]
+            inst = Instance(v, R, pts, truck_start=T)
+            slack = 1e-9 * instance_scale(inst)
+            entries = []
+            for i in rng.sample(range(5), 5):
+                w = start_window(inst.points[i], v, R)
+                start = rng.choice([w.es - 1.0, w.es, 0.5 * (w.es + w.ls), w.ls, w.ls + 0.5 * slack])
+                launch = min(start, w.ls)
+                prev = return_position(launch, inst.points[i], v, R)
+                entries.append(Delivery(i, start, 0.0))
+                if start < w.es:
+                    assert prev == w.er
+                # a huge tolerance forgives overlaps, so only landings count
+                report = verify_schedule(inst, Schedule(entries), tol=1e9)
+                assert report.completion == prev
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
     def test_bad_tolerance_raises(self, tol):
         # a NaN slack would pass a start pushed far past its window

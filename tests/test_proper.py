@@ -173,7 +173,7 @@ class TestCheckProper:
 
 
 class TestShiftInvariance:
-    @settings(derandomize=True, max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         T=st.sampled_from([1e3, 1e5, 1e6, 1e7]),
         v=st.sampled_from([1.5, 2.0, 4.0]),
