@@ -290,8 +290,7 @@ def cmd_compare(args) -> int:
         if algo not in SOLVERS:
             raise CliError(f"unknown algorithm {algo!r}")
         t0 = time.perf_counter()
-        note = ""
-        sched = None
+        sched, note = None, ""
         try:
             sched = SOLVERS[algo](inst, args)
         except NotProperError:
@@ -299,14 +298,10 @@ def cmd_compare(args) -> int:
         except BudgetError:
             note = "over-budget"
         wall = time.perf_counter() - t0
-        if sched is None:
-            rows.append({"algo": algo, "count": None, "completion": None,
-                         "wall_s": wall, "note": note})
-        else:
-            report = verify_schedule(inst, sched)
-            rows.append({"algo": algo, "count": sched.count,
-                         "completion": report.completion, "wall_s": wall,
-                         "note": note})
+        ran = sched is not None
+        rows.append({"algo": algo, "count": sched.count if ran else None,
+                     "completion": verify_schedule(inst, sched).completion if ran else None,
+                     "wall_s": wall, "note": note})
     if args.json:
         sys.stdout.write(emit_json({"rows": rows}))
     else:

@@ -77,9 +77,7 @@ def gen_three_partition(spec: ThreePartitionSpec) -> tuple[Instance, int]:
     R = 4.0 * T
     m = reach_envelope(v, R).minor_radius
     eps = spec.eps
-    pts: list[tuple[float, float]] = []
-    for y in spec.values:
-        pts.append((0.0, float(y)))
+    pts = [(0.0, float(y)) for y in spec.values]
     for i in range(1, spec.k):
         pts.append((i * (6.0 + eps), m))
     for t in range(T + 1):

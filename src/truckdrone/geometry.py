@@ -157,8 +157,7 @@ def vertical_delivery_time(s: float, y: float, v: float) -> float:
       v*s^2/y <= 4s^2, as y >= v/4;
     and the "+ s" of the closed form contributes the remaining 2s/(v^2 - 1).
     """
-    if not v > 1.0:
-        raise ValueError(f"drone speed must exceed truck speed 1, got v={v}")
+    _check_params(v, 1.0)
     return _flight_time(s, math.sqrt(s * s + y * y), v)
 
 

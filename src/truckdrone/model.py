@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import INFEASIBLE, _land, return_position, start_window
+from .geometry import INFEASIBLE, _check_params, _land, return_position, start_window
 
 DEFAULT_TOL = 1e-9
 
@@ -61,10 +61,7 @@ class Instance:
         for name in ("v", "R", "truck_start"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.v > 1.0:
-            raise ValueError(f"drone speed must exceed truck speed 1, got v={self.v}")
-        if not self.R > 0.0:
-            raise ValueError(f"flying range must be positive, got R={self.R}")
+        _check_params(self.v, self.R)
         pts = tuple(
             p if isinstance(p, DeliveryPoint) else DeliveryPoint(*p)
             for p in self.points
@@ -156,13 +153,8 @@ def verify_schedule(inst: Instance, sched: Schedule, tol: float = DEFAULT_TOL) -
             prev_ret = completion = INFEASIBLE
             continue
         # a start within tolerance past the window still lands from ls
-        prev_ret = _land(min(d.start, w.ls), p.x, p.y, w.es, w.er, inst.v)
-        completion = prev_ret
-    return FeasibilityReport(
-        feasible=not violations,
-        violations=tuple(violations),
-        completion=completion,
-    )
+        prev_ret = completion = _land(min(d.start, w.ls), p.x, p.y, w.es, w.er, inst.v)
+    return FeasibilityReport(not violations, tuple(violations), completion)
 
 
 def schedule_completion(inst: Instance, sched: Schedule, tol: float = DEFAULT_TOL) -> float:
@@ -193,11 +185,9 @@ def earliest_start_pack(inst: Instance, order) -> Schedule | None:
     cur = inst.truck_start
     for idx in order:
         w = start_window(inst.points[idx], inst.v, inst.R)
-        if w is None:
+        if w is None or max(cur, w.es) > w.ls:
             return None
         start = max(cur, w.es)
-        if start > w.ls:
-            return None
         cur = return_position(start, inst.points[idx], inst.v, inst.R)
         entries.append(Delivery(idx, start, cur))
     return Schedule(tuple(entries))

@@ -7,8 +7,10 @@ runs on the same instance produce identical schedules.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -30,35 +32,52 @@ def solve_greedy(inst: Instance) -> Schedule:
 
     An event sweep over the truck position s, which advances to each
     landing.  In-band points are sorted once by window opening (index
-    breaks ties); a pointer admits each point once es <= s, and the open
-    list drops it once ls < s, which is exact as s never decreases.  So
-    every open point has es <= s <= ls and lands, unclamped, at s plus its
-    flight time.  With nothing open, the truck drives to the next opening.
-    Among landings within GREEDY_TIE_TOL * R of the earliest, the leftmost
-    point wins, then the lowest index.  O(n log n + total open-list size).
+    breaks ties); a pointer admits each point once es <= s, and a heap
+    drops it once ls < s, which is exact as s never decreases.  So every
+    open point lands, unclamped, at s plus its flight time, and that is at
+    least 2|y|/sqrt(v^2 - 1): the open points are landed in order of |y|
+    until the bound rules out the rest (for R > 1e-140, so that y*y does
+    not underflow).  With nothing open, the truck drives to the next
+    opening.  Among landings within GREEDY_TIE_TOL * R of the earliest,
+    the leftmost point wins, then the lowest index.
     """
+    v = inst.v
     xs = [p.x for p in inst.points]
     ys = [p.y for p in inst.points]
-    es, ls, er, _, in_band = (w.tolist() for w in window_arrays(xs, ys, inst.v, inst.R))
+    es, ls, er, _, in_band = (w.tolist() for w in window_arrays(xs, ys, v, inst.R))
     order = sorted((i for i, ok in enumerate(in_band) if ok), key=es.__getitem__)
-    opens = [es[i] for i in order]
-    s = inst.truck_start
-    admitted = 0
-    live: list[int] = []
+    # the slack covers the flight formula's rounding, which grows as v -> 1
+    rise = 2.0 / math.sqrt(v * v - 1.0) * (1.0 - 1e-12 * (v + 1.0) / (v - 1.0))
+    tie = GREEDY_TIE_TOL * inst.R
+    s, admitted = inst.truck_start, 0
+    live: list[tuple[float, int]] = []     # open points as (|y|, index), ascending
+    closing: list[tuple[float, int]] = []  # heap of (ls, index) of admitted points
     entries: list[Delivery] = []
     while True:
-        stop = bisect_right(opens, s, admitted)
-        live = [i for i in live + order[admitted:stop] if ls[i] >= s]
+        stop = bisect_right(order, s, admitted, key=es.__getitem__)
+        for i in order[admitted:stop]:
+            insort(live, (abs(ys[i]), i))
+            heappush(closing, (ls[i], i))
         admitted = stop
+        while closing and closing[0][0] < s:
+            i = heappop(closing)[1]
+            k = bisect_left(live, (abs(ys[i]), i))
+            if k < len(live) and live[k][1] == i:  # else served already
+                del live[k]
         if not live:
             if admitted == len(order):
                 break
-            s = opens[admitted]
+            s = es[order[admitted]]
             continue
-        lands = [_land(s, xs[i], ys[i], es[i], er[i], inst.v) for i in live]
-        cutoff = min(lands) + GREEDY_TIE_TOL * inst.R
-        _, pick, ret = min((xs[i], i, r) for i, r in zip(live, lands) if r <= cutoff)
-        live.remove(pick)
+        cutoff, lands = math.inf, []
+        for k, (ay, i) in enumerate(live):
+            if s + ay * rise > cutoff:
+                break
+            r = _land(s, xs[i], ys[i], es[i], er[i], v)
+            lands.append((xs[i], i, r, k))
+            cutoff = min(cutoff, r + tie)
+        _, pick, ret, k = min(c for c in lands if c[2] <= cutoff)
+        del live[k]
         entries.append(Delivery(pick, s, ret))
         s = ret
     return Schedule(tuple(entries))
@@ -153,11 +172,9 @@ def solve_dp_proper(inst: Instance, require_proper: bool = True) -> Schedule:
     if len(table.completions) == 0:
         return Schedule(())
     depth = len(table.completions) - 1
-    j = int(np.argmin(table.completions[depth]))
-    chain = [j]
+    chain = [int(np.argmin(table.completions[depth]))]
     for r in range(depth, 0, -1):
-        j = int(table.parents[r][chain[-1]])
-        chain.append(j)
+        chain.append(int(table.parents[r][chain[-1]]))
     order = [table.ranks[j] for j in reversed(chain)]
     sched = earliest_start_pack(inst, order)
     if sched is None:  # cannot happen: the table only chains feasible landings
