@@ -153,12 +153,9 @@ def gen_random_proper(n: int, v: float, R: float, seed: int,
         else:
             rejections += 1
             if rejections > max_rejections:
-                raise GenerationError(
-                    f"gave up after {max_rejections} rejected candidates"
-                )
+                raise GenerationError(f"gave up after {max_rejections} rejected candidates")
     inst = Instance(v, R, tuple(zip(xs.tolist(), ys.tolist())), truck_start=0.0)
-    report = check_proper(inst)
-    if not report.is_proper:
+    if not check_proper(inst).is_proper:
         raise GenerationError("sampled instance failed the properness check")
     return inst
 
@@ -202,10 +199,8 @@ def gen_greedy_tightness(k: int, v: float, R: float) -> tuple[Instance, Tightnes
                 continue
             x_decoy = D + w  # decoy window opens exactly at the truck start
             x_edge = x_decoy + w - F - g
-            pts: list[tuple[float, float]] = []
-            for p in range(k):
-                pts.append((x_edge + p * period, m))
-                pts.append((x_decoy + p * period, y_decoy))
+            pts = [pt for p in range(k)
+                   for pt in ((x_edge + p * period, m), (x_decoy + p * period, y_decoy))]
             inst = Instance(v, R, tuple(pts), truck_start=0.0)
             cert = _certify_tightness(inst, k)
             if cert is not None:

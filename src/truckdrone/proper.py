@@ -117,12 +117,5 @@ def interval_order_check(inst: Instance) -> bool:
         if w is None:
             return False
         windows.append((p.x, w.es, w.ls))
-    for xi, esi, lsi in windows:
-        for xj, esj, lsj in windows:
-            if xi >= xj:
-                continue
-            disjoint = lsi < esj
-            staggered = esi < esj <= lsi < lsj
-            if not (disjoint or staggered):
-                return False
-    return True
+    return all(lsi < esj or esi < esj <= lsi < lsj  # disjoint or staggered
+               for xi, esi, lsi in windows for xj, esj, lsj in windows if xi < xj)

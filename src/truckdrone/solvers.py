@@ -8,7 +8,7 @@ runs on the same instance produce identical schedules.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -31,37 +31,38 @@ def solve_greedy(inst: Instance) -> Schedule:
     """Repeatedly fly to the point that lands the drone earliest.
 
     An event sweep over the truck position s, which advances to each
-    landing.  In-band points are sorted once by window opening (index
-    breaks ties); a pointer admits each point once es <= s, and a heap
-    drops it once ls < s, which is exact as s never decreases.  So every
-    open point lands, unclamped, at s plus its flight time, and that is at
-    least 2|y|/sqrt(v^2 - 1): the open points are landed in order of |y|
-    until the bound rules out the rest (for R > 1e-140, so that y*y does
-    not underflow).  With nothing open, the truck drives to the next
-    opening.  Among landings within GREEDY_TIE_TOL * R of the earliest,
-    the leftmost point wins, then the lowest index.
+    landing.  Points enter in order of es (then index) once es <= s and
+    leave once ls < s, exact as s never decreases, so every open point
+    lands unclamped.  Open points sit sorted by x and are landed outward
+    from s, lowest lower bound first, until the bound passes the earliest
+    landing plus the tie allowance (the bounds hold in floating point for
+    R > 1e-140).  With nothing open, the truck drives to the next opening.
+    Among landings within GREEDY_TIE_TOL * R of the earliest, the leftmost
+    point wins, then the lowest index.
     """
-    v = inst.v
-    xs = [p.x for p in inst.points]
-    ys = [p.y for p in inst.points]
+    v, xs, ys = inst.v, [p.x for p in inst.points], [p.y for p in inst.points]
     es, ls, er, _, in_band = (w.tolist() for w in window_arrays(xs, ys, v, inst.R))
     order = sorted((i for i, ok in enumerate(in_band) if ok), key=es.__getitem__)
-    # the slack covers the flight formula's rounding, which grows as v -> 1
-    rise = 2.0 / math.sqrt(v * v - 1.0) * (1.0 - 1e-12 * (v + 1.0) / (v - 1.0))
+    # a flight from dx = s - x lasts at least 2|y|/sqrt(v^2 - 1), 2dx/(v - 1)
+    # behind the point and -2dx/(v + 1) ahead of it; the slack covers the
+    # formula's rounding, which grows as v -> 1
+    slack = 1.0 - 1e-12 * (v + 1.0) / (v - 1.0)
+    rise, behind, ahead = (slack * c for c in (2.0 / math.sqrt(v * v - 1.0),
+                                               2.0 / (v - 1.0), 2.0 / (v + 1.0)))
     tie = GREEDY_TIE_TOL * inst.R
     s, admitted = inst.truck_start, 0
-    live: list[tuple[float, int]] = []     # open points as (|y|, index), ascending
+    live: list[tuple[float, int]] = []     # open points as (x, index), ascending
     closing: list[tuple[float, int]] = []  # heap of (ls, index) of admitted points
     entries: list[Delivery] = []
     while True:
-        stop = bisect_right(order, s, admitted, key=es.__getitem__)
-        for i in order[admitted:stop]:
-            insort(live, (abs(ys[i]), i))
+        while admitted < len(order) and es[order[admitted]] <= s:
+            i = order[admitted]
+            insort(live, (xs[i], i))
             heappush(closing, (ls[i], i))
-        admitted = stop
+            admitted += 1
         while closing and closing[0][0] < s:
             i = heappop(closing)[1]
-            k = bisect_left(live, (abs(ys[i]), i))
+            k = bisect_left(live, (xs[i], i))
             if k < len(live) and live[k][1] == i:  # else served already
                 del live[k]
         if not live:
@@ -69,13 +70,23 @@ def solve_greedy(inst: Instance) -> Schedule:
                 break
             s = es[order[admitted]]
             continue
+        # walk out from s, lower bound first, until the bound passes the cutoff
+        lo = hi = bisect_left(live, (s, -1))
         cutoff, lands = math.inf, []
-        for k, (ay, i) in enumerate(live):
-            if s + ay * rise > cutoff:
+        while lo > 0 or hi < len(live):
+            b_hi = (live[hi][0] - s) * ahead if hi < len(live) else math.inf
+            b_lo = (s - live[lo - 1][0]) * behind if lo > 0 else math.inf
+            if s + min(b_hi, b_lo) > cutoff:
                 break
-            r = _land(s, xs[i], ys[i], es[i], er[i], v)
-            lands.append((xs[i], i, r, k))
-            cutoff = min(cutoff, r + tie)
+            if b_hi <= b_lo:
+                k, hi = hi, hi + 1
+            else:
+                lo = k = lo - 1
+            i = live[k][1]
+            if s + abs(ys[i]) * rise <= cutoff:
+                r = _land(s, xs[i], ys[i], es[i], er[i], v)
+                lands.append((xs[i], i, r, k))
+                cutoff = min(cutoff, r + tie)
         _, pick, ret, k = min(c for c in lands if c[2] <= cutoff)
         del live[k]
         entries.append(Delivery(pick, s, ret))

@@ -171,64 +171,61 @@ class TestGreedyMatchesScan:
             assert_same_greedy(_edge_and_lifted(inst))
 
     @pytest.mark.parametrize("v", [1.001, 1.05, 1.5, 4.0, 50.0])
-    def test_dense_bands_pruned_by_height(self, v):
-        # many open points; only the low ones may land, so the |y| bound
-        # prunes most of them, also near v = 1 where the flight formula
-        # cancels and at a far shift where rounding is coarse
+    def test_dense_bands_pruned_by_bounds(self, v):
+        # hundreds of open points, most ruled out by the lower bounds, also
+        # near v = 1 where the flight formula cancels, at a far shift where
+        # rounding is coarse, and with points crowded near the axis
         for seed in range(3):
             inst = gen_random_band(400, v=v, R=10.0, x_span=30.0, seed=seed)
             assert_same_greedy(inst)
             assert_same_greedy(_shifted(inst, 1e6))
-            low = [(p.x, p.y * 1e-7 if i % 3 == 0 else p.y) for i, p in enumerate(inst.points)]
-            assert_same_greedy(Instance(v, 10.0, low, truck_start=inst.truck_start))
+            for lift in (0.01, 1e-7):
+                low = [(p.x, p.y * lift if i % 3 else p.y) for i, p in enumerate(inst.points)]
+                assert_same_greedy(Instance(v, 10.0, low))
 
-    def test_dense_band_lands_few_points(self, monkeypatch):
-        # without the |y| bound every step would land all of its open points
+    @pytest.mark.parametrize("lift", [1.0, 0.01])
+    def test_dense_band_lands_few_points(self, monkeypatch, lift):
+        # about 350 windows are open at each step; the bounds leave 2 to 5
+        # landings per step, and the height bound alone takes 24 down to 5
         import truckdrone.solvers as solvers
         calls = []
         land = solvers._land
         monkeypatch.setattr(solvers, "_land", lambda *a: calls.append(1) or land(*a))
-        inst = gen_random_band(2000, v=2.0, R=10.0, x_span=40.0, seed=0)
+        band = gen_random_band(2000, v=2.0, R=10.0, x_span=40.0, seed=0)
+        inst = Instance(2.0, 10.0, [(p.x, p.y * lift) for p in band.points])
         sched = solve_greedy(inst)
         assert sched == _scan_greedy(inst)
-        xs, ys = [p.x for p in inst.points], [p.y for p in inst.points]
-        es, ls, _, _, live = window_arrays(xs, ys, inst.v, inst.R)
-        open_total = 0
-        for d in sched.deliveries:
-            open_total += int((live & (es <= d.start) & (ls >= d.start)).sum())
-            live[d.point] = False
-        assert 10 * len(calls) < open_total
+        assert len(calls) < 8 * sched.count
 
-    @pytest.mark.parametrize("v", [1.5, 2.0, 3.0])
-    def test_landing_one_ulp_under_the_height_bound(self, v):
-        # point 1 sits where its flight time is smallest, and rounding puts
-        # its landing just under s + |y| * 2/sqrt(v^2 - 1) (s = 0); point 0,
-        # lower and further right, is placed so that its landing plus the
-        # tie allowance equals point 1's.  Only the bound's slack keeps
-        # point 1 landed, and then the x rule picks it
+    # at v = 3 both the bound 2d/(v - 1) and the landing round to exactly d
+    @pytest.mark.parametrize("v", [1.1, 1.5, 2.0, 4.0])
+    def test_landing_one_ulp_under_the_behind_bound(self, v):
+        # from s = 0, point 1, d behind and just off the axis, lands (after
+        # rounding) just under 2d/(v - 1), the bound that ends the walk
+        # behind s; point 0, just ahead, has its height tuned so that its
+        # landing plus the tie allowance equals point 1's.  Only the bound's
+        # slack keeps point 1 landed, and then the x rule picks it
         R, tie, made = 10.0, GREEDY_TIE_TOL * 10.0, 0
-        c = math.sqrt(v * v - 1.0)
         rng = random.Random(31)
-        while made < 3:
-            y1 = rng.uniform(0.05, 0.3) * R
-            w1 = start_window((y1 / c, y1), v, R)
-            r1 = _land(0.0, y1 / c, y1, w1.es, w1.er, v)
-            if not y1 * (2.0 / c) > r1:
-                continue
-            y0 = 0.9 * y1
 
-            def r0(x):
-                w = start_window((x, y0), v, R)
-                return _land(0.0, x, y0, w.es, w.er, v)
-            lo, hi = y0 / c, y0 / c + R
+        def land(x, y):
+            w = start_window((x, y), v, R)
+            return _land(0.0, x, y, w.es, w.er, v) if w.es <= 0.0 <= w.ls else math.inf
+
+        while made < 3:
+            d = rng.uniform(0.1, 1.0)
+            r1 = land(-d, 1e-30)
+            if not d * (2.0 / (v - 1.0)) > r1:
+                continue
+            lo, hi = 1e-6, minor_radius(v, R)
             for _ in range(200):
                 mid = (lo + hi) / 2.0
-                lo, hi = (mid, hi) if r0(mid) + tie < r1 else (lo, mid)
-            while r0(lo) + tie < r1:
+                lo, hi = (mid, hi) if land(0.01, mid) + tie < r1 else (lo, mid)
+            while land(0.01, lo) + tie < r1:
                 lo = math.nextafter(lo, math.inf)
-            if r0(lo) + tie != r1:
+            if land(0.01, lo) + tie != r1:
                 continue
-            inst = Instance(v, R, [(lo, y0), (y1 / c, y1)])
+            inst = Instance(v, R, [(0.01, lo), (-d, 1e-30)])
             assert_same_greedy(inst)
             assert solve_greedy(inst).deliveries[0].point == 1
             made += 1
