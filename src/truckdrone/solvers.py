@@ -35,8 +35,9 @@ def solve_greedy(inst: Instance) -> Schedule:
     leave once ls < s, exact as s never decreases, so every open point
     lands unclamped.  Open points sit sorted by x and are landed outward
     from s, lowest lower bound first, until the bound passes the earliest
-    landing plus the tie allowance (the bounds hold in floating point for
-    R > 1e-140).  With nothing open, the truck drives to the next opening.
+    landing plus the tie allowance; one whose height bound passes it is
+    skipped (the bounds hold in floating point for R > 1e-140).  With
+    nothing open, the truck drives to the next opening.
     Among landings within GREEDY_TIE_TOL * R of the earliest, the leftmost
     point wins, then the lowest index.
     """
