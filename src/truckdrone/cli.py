@@ -48,7 +48,8 @@ class CliError(Exception):
 def _fmt_num(x: float) -> str:
     if isinstance(x, int) and not isinstance(x, bool):
         return str(x)
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text  # "-0" would parse as the integer 0
 
 
 def _emit(value, indent: int = 0) -> str:
@@ -122,8 +123,8 @@ def _load_json(path: str, what: str):
             return json.load(f)
     except OSError as e:
         raise CliError(f"cannot read {what} file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise CliError(f"{path} is not valid JSON: {e}") from e
+    except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deep
+        raise CliError(f"{path} is not usable JSON: {e}") from e
 
 
 def load_instance(path: str) -> Instance:
@@ -259,7 +260,7 @@ def cmd_gen(args) -> int:
         elif args.kind == "partition":
             spec = ThreePartitionSpec(_parse_values(args.values), c=args.c)
             inst, expected = gen_three_partition(spec)
-            print(f"expected count on yes-instances: {expected}", file=sys.stderr)
+            print(f"layout point count (acceptance 8), not an optimum: {expected}", file=sys.stderr)
         else:  # adversarial
             inst, cert = gen_greedy_tightness(args.k, args.v, args.R)
             cert_json = emit_json({

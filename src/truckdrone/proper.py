@@ -9,8 +9,9 @@ what the dynamic program relies on.
 Both conditions are decided in one place, `_pair_violations`, relative to
 the apex of each triangle and with tolerances scaled by R alone, so
 properness does not depend on where on the road an instance sits.
-`check_proper` applies it to every pair; `gen_random_proper` applies it,
-with a wider margin, to each candidate it draws.
+`check_proper` applies it to every pair within reach (the bound is in its
+docstring), in O(n log n + pairs within reach) time and memory linear in
+n; `gen_random_proper` applies it, with a wider margin, to each candidate.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import numpy as np
 
 from .geometry import _half_width, _minor_radius, start_window
 from .model import DEFAULT_TOL, Instance, _check_tol
+
+_BLOCK = 64  # points per block of check_proper's sweep
 
 
 @dataclass(frozen=True)
@@ -40,13 +43,10 @@ class NotProperError(ValueError):
 
     def __init__(self, report: ProperReport):
         self.report = report
-        parts = []
-        if report.out_of_band:
-            parts.append(f"out-of-band points {list(report.out_of_band)}")
-        if report.triangle_violations:
-            parts.append(f"triangle violations {list(report.triangle_violations)}")
-        if report.nesting_violations:
-            parts.append(f"nesting violations {list(report.nesting_violations)}")
+        parts = [f"{name} {list(found)}" for name, found in (
+            ("out-of-band points", report.out_of_band),
+            ("triangle violations", report.triangle_violations),
+            ("nesting violations", report.nesting_violations)) if found]
         super().__init__("instance is not proper: " + "; ".join(parts))
 
 
@@ -71,8 +71,7 @@ def _pair_violations(xa, ya, xb, yb, v: float, R: float, tol: float):
     dx = np.abs(xb - xa)
     nested = dx <= hb - ha + tol * R
     base = sa * yb >= -tol * R
-    # the area form's left side, built in place so that only one n x n
-    # temporary lives beside it
+    # the area form's left side, built in dx's buffer to save a temporary
     area = dx
     area *= depth
     area += (sa * wa) * yb
@@ -81,25 +80,43 @@ def _pair_violations(xa, ya, xb, yb, v: float, R: float, tol: float):
 
 
 def check_proper(inst: Instance, tol: float = DEFAULT_TOL) -> ProperReport:
-    """Scan all ordered pairs for properness violations.
+    """Scan every ordered pair within reach for properness violations.
 
     Containment is closed: a point on a triangle edge or a window sharing
     both endpoints counts as a violation (identical windows violate in
     both directions).  Boundary cases within tolerance (tol*R on lengths,
     tol*R^2 on areas) are flagged too, erring toward "not proper".  A tol
     that is negative or not finite raises ValueError.
+
+    Only pairs within reach can violate: b against a needs |x_b - x_a| <=
+    w_a + tol*R*(w_a + R)/|y_a| (triangle) or R/2 - h_a + tol*R (nesting).
+    Each block of x-sorted points meets only the points within its reach,
+    padded for rounding: O(n log n + pairs within reach) time, memory O(n).
     """
     _check_tol(tol)
+    v, R, n = inst.v, inst.R, len(inst.points)
     xs = np.array([p.x for p in inst.points])
     ys = np.array([p.y for p in inst.points])
-    in_band = np.abs(ys) <= _minor_radius(inst.v, inst.R)
-    idx = np.flatnonzero(in_band)
+    in_band = np.abs(ys) <= _minor_radius(v, R)
+    idx = np.flatnonzero(in_band)[np.argsort(xs[in_band])]
     X, Y = xs[idx], ys[idx]
-    triangle, nested = _pair_violations(X[:, None], Y[:, None], X, Y, inst.v, inst.R, tol)
-    np.fill_diagonal(triangle, False)
-    np.fill_diagonal(nested, False)
-    triangles = tuple(map(tuple, idx[np.argwhere(triangle)].tolist()))
-    nestings = tuple(map(tuple, idx[np.argwhere(nested)].tolist()))
+    slack, ha = (tol + 1e-12) * R, _half_width(Y, v, R)  # 1e-12 covers the pair test's rounding
+    wa = R / (2.0 * v) + ha
+    with np.errstate(over="ignore"):  # |y| near 0: an infinite reach
+        reach = np.maximum(wa + slack * (wa + R) / np.abs(Y), R / 2.0 - ha + slack)
+    reach = reach * (1.0 + 1e-9) + 4.0 * np.spacing(np.abs(X))
+    lo, hi = X - reach, X + reach
+    found = [np.empty(0, int)], [np.empty(0, int)]  # pairs (i, j) as i*n + j
+    for a in range(0, len(X), _BLOCK):
+        rows = slice(a, a + _BLOCK)
+        b, c = np.searchsorted(X, (lo[rows].min(), hi[rows].max()))
+        hits = _pair_violations(X[rows, None], Y[rows, None], X[b:c], Y[b:c], v, R, tol)
+        for pairs, hit in zip(found, hits):
+            np.fill_diagonal(hit[:, a - b:], False)  # self-pairs
+            i, j = np.nonzero(hit)
+            pairs.append(idx[i + a] * n + idx[j + b])
+    keys = (np.sort(np.concatenate(f)) for f in found)
+    triangles, nestings = (tuple(zip((k // n).tolist(), (k % n).tolist())) for k in keys)
     out_of_band = tuple(np.flatnonzero(~in_band).tolist())
     ok = not triangles and not nestings and not out_of_band
     return ProperReport(ok, triangles, nestings, out_of_band)

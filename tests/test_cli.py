@@ -1,5 +1,8 @@
 """End-to-end tests for the command-line interface (subprocess level)."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import os
@@ -7,9 +10,18 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import truckdrone
-from truckdrone.cli import instance_to_json, load_instance, load_schedule, schedule_to_json
+from truckdrone.cli import (
+    instance_to_json,
+    load_instance,
+    load_schedule,
+    main,
+    schedule_to_json,
+)
+from truckdrone.model import Delivery, Instance, Schedule
 
 # the child imports the same package as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(truckdrone.__file__)))
@@ -263,7 +275,7 @@ class TestCheckProper:
         inst = tmp_path / "part.json"
         gen = run_cli("gen", "partition", "--values", "1,1,1,1,1,1", "--out", str(inst))
         assert gen.returncode == 0
-        assert "expected count on yes-instances: 11" in gen.stderr
+        assert "layout point count (acceptance 8), not an optimum: 11" in gen.stderr
         res = run_cli("check-proper", "--input", str(inst))
         assert res.returncode == 1
         out = json.loads(res.stdout)
@@ -406,3 +418,151 @@ class TestRender:
         assert res.returncode == 0
         assert "<circle" not in res.stdout
         assert res.stdout.rstrip().endswith("</svg>")
+
+
+# floats as drawn, plus the awkward ones: signed zeros, subnormals, the
+# largest double, and values far along the road
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1e7 + 0.1, 1e16 + 2.0]
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGE_FLOATS))
+
+
+def _shifted_floats(draw):
+    x, shift = draw(_FLOATS), draw(st.sampled_from([0.0, 1e3, 1e7]))
+    return x + shift if shift else x  # -0.0 + 0.0 would lose the sign
+
+
+@st.composite
+def _instances(draw):
+    v = draw(st.one_of(st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+                       st.sampled_from([1.0000000000000002, 2.0, 1.7976931348623157e308])))
+    R = draw(st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                       st.sampled_from([5e-324, 1e-300, 10.0])))
+    n = draw(st.integers(0, 5))
+    ys = draw(st.lists(_FLOATS.filter(lambda y: y != 0.0), min_size=n, max_size=n))
+    return Instance(v, R, tuple((_shifted_floats(draw), y) for y in ys),
+                    truck_start=_shifted_floats(draw))
+
+
+@st.composite
+def _schedules(draw):
+    n = draw(st.integers(0, 5))
+    return Schedule(tuple(
+        Delivery(draw(st.integers(0, 2**63)), _shifted_floats(draw), _shifted_floats(draw))
+        for _ in range(n)))
+
+
+class TestJsonRoundTripProperties:
+    @settings(max_examples=200)
+    @given(inst=_instances())
+    def test_instance_json_round_trips_bytes(self, tmp_path_factory, inst):
+        text = instance_to_json(inst)
+        path = tmp_path_factory.mktemp("instance") / "inst.json"
+        path.write_text(text)
+        again = load_instance(str(path))
+        assert instance_to_json(again) == text
+        assert repr(again) == repr(inst)  # float repr keeps the sign of zero
+
+    @settings(max_examples=200)
+    @given(sched=_schedules())
+    def test_schedule_json_round_trips_bytes(self, tmp_path_factory, sched):
+        text = schedule_to_json(sched)
+        path = tmp_path_factory.mktemp("schedule") / "sched.json"
+        path.write_text(text)
+        again = load_schedule(str(path))
+        assert schedule_to_json(again) == text
+        assert repr(again) == repr(sched)
+
+
+_GOOD_INSTANCE = {"v": 2.0, "R": 10.0, "truck_start": 0.0,
+                  "points": [{"x": 1.0, "y": 3.0}, {"x": 4.0, "y": -2.0}]}
+_GOOD_SCHEDULE = {"deliveries": [{"point": 0, "start": 0.0, "return": 5.0}], "count": 1}
+# JSON values that no number field accepts; json.dumps writes the
+# non-finite floats as the NaN / Infinity literals that json.load reads
+_NOT_NUMBERS = [math.nan, math.inf, -math.inf, 10**400, "1.0", None, True, [1.0], {}]
+
+
+def _number_fields(doc):
+    """(container, key) of every number field in an instance or schedule."""
+    fields = [(doc, k) for k in ("v", "R", "truck_start") if k in doc]
+    for entry in doc.get("points", []) + doc.get("deliveries", []):
+        fields += [(entry, k) for k in entry if k != "point"]
+    return fields
+
+
+@st.composite
+def _malformed(draw, good):
+    """A copy of a good document with one defect, as file text."""
+    doc = copy.deepcopy(good)
+    items = doc.get("points") or doc.get("deliveries")
+    how = draw(st.sampled_from(["json", "deep", "missing", "number", "extra", "shape"]
+                               + (["axis", "speed", "range"] if "v" in doc
+                                  else ["index", "count"])))
+    if how == "json":  # every proper prefix of an object is unclosed
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if how == "deep":
+        return "[" * draw(st.sampled_from([10**4, 10**5])) + "]" * 3
+    if how == "missing":
+        container = draw(st.sampled_from([doc] + items))
+        del container[draw(st.sampled_from(sorted(set(container) - {"truck_start"})))]
+    elif how == "number":
+        container, key = draw(st.sampled_from(_number_fields(doc)))
+        container[key] = draw(st.sampled_from(_NOT_NUMBERS))
+    elif how == "extra":
+        draw(st.sampled_from([doc] + items))["note"] = 1.0
+    elif how == "shape":
+        doc = draw(st.sampled_from([[doc], 3.0, "doc", None, dict(doc, **{
+            "points" if "v" in doc else "deliveries": draw(st.sampled_from([{}, 2.0, [1.0]]))})]))
+    elif how == "axis":
+        draw(st.sampled_from(items))["y"] = draw(st.sampled_from([0.0, -0.0]))
+    elif how == "speed":
+        doc["v"] = draw(st.floats(max_value=1.0, allow_nan=False, allow_infinity=False))
+    elif how == "range":
+        doc["R"] = draw(st.floats(max_value=0.0, allow_nan=False, allow_infinity=False))
+    elif how == "index":
+        doc["deliveries"][0]["point"] = draw(st.sampled_from([-1, 2, 10**30, 0.0, True, "0"]))
+    else:  # count
+        doc["count"] = draw(st.sampled_from([0, 2, 1.0, True, "1", None]))
+    return json.dumps(doc)
+
+
+def _run_main(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+class TestMalformedInputProperties:
+    """Bad files end in exit code 2 and an error line; an exception that
+    escaped `main` would print a traceback and fail the test."""
+
+    @settings(max_examples=300)
+    @given(text=_malformed(_GOOD_INSTANCE),
+           command=st.sampled_from([("solve", "--algo", "greedy", "--input"),
+                                    ("check-proper", "--input"),
+                                    ("render", "--instance")]))
+    def test_bad_instance_file_exits_2(self, tmp_path_factory, text, command):
+        path = tmp_path_factory.mktemp("bad") / "inst.json"
+        path.write_text(text)
+        code, err = _run_main(*command, str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @settings(max_examples=200)
+    @given(text=_malformed(_GOOD_SCHEDULE))
+    def test_bad_schedule_file_exits_2(self, tmp_path_factory, text):
+        folder = tmp_path_factory.mktemp("bad")
+        (folder / "inst.json").write_text(json.dumps(_GOOD_INSTANCE))
+        (folder / "sched.json").write_text(text)
+        code, err = _run_main("verify", "--instance", str(folder / "inst.json"),
+                              "--schedule", str(folder / "sched.json"))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_deeply_nested_file_exits_2_in_a_process(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 10**5)
+        assert_usage_error(run_cli("check-proper", "--input", str(path)), "usable JSON")

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from truckdrone import proper
 from truckdrone.generators import gen_random_band, gen_random_proper
-from truckdrone.geometry import start_window, window_arrays
-from truckdrone.model import Instance
+from truckdrone.geometry import _minor_radius, start_window, window_arrays
+from truckdrone.model import DEFAULT_TOL, Instance
 from truckdrone.proper import (
+    _BLOCK,
     NotProperError,
     ProperReport,
     _pair_violations,
@@ -170,6 +172,112 @@ class TestCheckProper:
             check_proper(Instance(v=2.0, R=10.0), tol=tol)
         with pytest.raises(ValueError, match="tolerance"):
             check_proper(Instance(v=2.0, R=10.0, points=[(5.0, 3.0), (5.0, 3.0)]), tol=tol)
+
+
+def _dense_check_proper(inst, tol=DEFAULT_TOL):
+    """Reference: `_pair_violations` on all n x n in-band pairs at once, the
+    form that check_proper's sweep replaced."""
+    xs = np.array([p.x for p in inst.points])
+    ys = np.array([p.y for p in inst.points])
+    in_band = np.abs(ys) <= _minor_radius(inst.v, inst.R)
+    idx = np.flatnonzero(in_band)
+    X, Y = xs[idx], ys[idx]
+    triangle, nested = _pair_violations(X[:, None], Y[:, None], X, Y, inst.v, inst.R, tol)
+    np.fill_diagonal(triangle, False)
+    np.fill_diagonal(nested, False)
+    triangles = tuple(map(tuple, idx[np.argwhere(triangle)].tolist()))
+    nestings = tuple(map(tuple, idx[np.argwhere(nested)].tolist()))
+    out_of_band = tuple(np.flatnonzero(~in_band).tolist())
+    ok = not triangles and not nestings and not out_of_band
+    return ProperReport(ok, triangles, nestings, out_of_band)
+
+
+@st.composite
+def _sweep_cases(draw):
+    """Random bands, sparse (x-span 2n), dense (x-span 40) or crowded near
+    the axis (heights x 0.01), all scaled with R; then points moved onto
+    another point's abscissa, onto the band edge or out of the band, and
+    the whole instance shifted along the road."""
+    v = draw(st.sampled_from([1.001, 2.0, 50.0]))
+    R = draw(st.sampled_from([0.01, 10.0, 1000.0]))
+    n = draw(st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]))
+    layout = draw(st.sampled_from(["sparse", "dense", "near-axis"]))
+    span = (2.0 * n if layout == "sparse" else 40.0) * R / 10.0
+    inst = gen_random_band(n, v, R, span, draw(st.integers(0, 2**16)))
+    squash = 0.01 if layout == "near-axis" else 1.0
+    X = [p.x for p in inst.points]
+    Y = [p.y * squash for p in inst.points]
+    m = minor_radius(v, R)
+    for k, other, move in draw(st.lists(st.tuples(
+            st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)),
+            st.sampled_from(["same-x", "edge", "outside"])), max_size=8 if n else 0)):
+        if move == "same-x":
+            X[k] = X[other]
+        else:
+            Y[k] = math.copysign(m if move == "edge" else 1.5 * m, Y[k])
+    shift = draw(st.sampled_from([0.0, 1e3, 1e7]))
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    return Instance(v, R, tuple((x + shift, y) for x, y in zip(X, Y)), shift), tol
+
+
+class TestSweepMatchesDense:
+    @settings(max_examples=300)
+    @given(case=_sweep_cases())
+    def test_report_equals_the_dense_reference(self, case):
+        inst, tol = case
+        assert check_proper(inst, tol) == _dense_check_proper(inst, tol)
+
+    @pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL, 1e-3])
+    def test_differential_instances(self, tol):
+        for X, Y, v, R in _differential_instances():
+            for shift in (0.0, 1e7):
+                inst = Instance(v, R, tuple(zip((X + shift).tolist(), Y.tolist())))
+                report = check_proper(inst, tol)
+                assert report == _dense_check_proper(inst, tol)
+                assert report.triangle_violations and report.nesting_violations
+
+    @staticmethod
+    def _last_of_a_block(v, R, a, b):
+        """a closes the first block, b opens the next, so (a, b) is found
+        only if the reach of a's block takes in b; the rest sit far left."""
+        m = _minor_radius(v, R)
+        rest = [(a[0] - 10.0 * R * k, 0.5 * m) for k in range(_BLOCK - 1, 0, -1)]
+        return Instance(v, R, (*rest, a, b)), (_BLOCK - 1, _BLOCK)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e7])
+    def test_pairs_at_the_edge_of_reach_are_found(self, shift):
+        # nesting at its widest: a on the band edge (h_a = 0) nests in a
+        # b so close to the axis that h_b = R/2, exactly R/2 away; at 1e7
+        # only the ulp pad keeps x_a + reach above x_b
+        v, R = 2.0, 10.0
+        inst, pair = self._last_of_a_block(
+            v, R, (shift, _minor_radius(v, R)), (shift + R / 2.0, 1e-300))
+        report = check_proper(inst, tol=0.0)
+        assert report == _dense_check_proper(inst, tol=0.0)
+        assert pair in report.nesting_violations
+
+    def test_underflowing_heights_are_found(self):
+        # at subnormal heights the area form rounds to 0 <= 0, so b is
+        # flagged beyond w_a = 0.375; the reach must cover that
+        inst, pair = self._last_of_a_block(2.0, 0.5, (0.0, 5e-324), (0.45, 5e-324))
+        report = check_proper(inst, tol=0.0)
+        assert report == _dense_check_proper(inst, tol=0.0)
+        assert pair in report.triangle_violations
+
+    def test_sweep_tests_only_nearby_pairs(self, monkeypatch):
+        # the n x n form would pass 4e8 cells in one call here
+        sizes = []
+
+        def counting(xa, ya, xb, yb, *rest):
+            sizes.append(np.broadcast(xa, ya, xb, yb).size)
+            return _pair_violations(xa, ya, xb, yb, *rest)
+
+        monkeypatch.setattr(proper, "_pair_violations", counting)
+        inst = gen_random_band(20000, 2.0, 10.0, 40000.0, 0)
+        report = check_proper(inst)
+        assert max(sizes) <= 128 * _BLOCK
+        assert sum(sizes) <= 200 * len(inst.points)
+        assert not report.is_proper and report.nesting_violations
 
 
 class TestShiftInvariance:
