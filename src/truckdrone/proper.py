@@ -43,10 +43,13 @@ class NotProperError(ValueError):
 
     def __init__(self, report: ProperReport):
         self.report = report
-        parts = [f"{name} {list(found)}" for name, found in (
-            ("out-of-band points", report.out_of_band),
-            ("triangle violations", report.triangle_violations),
-            ("nesting violations", report.nesting_violations)) if found]
+        parts = []
+        if report.out_of_band:
+            parts.append(f"out-of-band points {list(report.out_of_band)}")
+        if report.triangle_violations:
+            parts.append(f"triangle violations {list(report.triangle_violations)}")
+        if report.nesting_violations:
+            parts.append(f"nesting violations {list(report.nesting_violations)}")
         super().__init__("instance is not proper: " + "; ".join(parts))
 
 
@@ -105,11 +108,10 @@ def check_proper(inst: Instance, tol: float = DEFAULT_TOL) -> ProperReport:
     with np.errstate(over="ignore"):  # |y| near 0: an infinite reach
         reach = np.maximum(wa + slack * (wa + R) / np.abs(Y), R / 2.0 - ha + slack)
     reach = reach * (1.0 + 1e-9) + 4.0 * np.spacing(np.abs(X))
-    lo, hi = X - reach, X + reach
     found = [np.empty(0, int)], [np.empty(0, int)]  # pairs (i, j) as i*n + j
     for a in range(0, len(X), _BLOCK):
         rows = slice(a, a + _BLOCK)
-        b, c = np.searchsorted(X, (lo[rows].min(), hi[rows].max()))
+        b, c = np.searchsorted(X, ((X[rows] - reach[rows]).min(), (X[rows] + reach[rows]).max()))
         hits = _pair_violations(X[rows, None], Y[rows, None], X[b:c], Y[b:c], v, R, tol)
         for pairs, hit in zip(found, hits):
             np.fill_diagonal(hit[:, a - b:], False)  # self-pairs
