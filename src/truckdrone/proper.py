@@ -10,8 +10,8 @@ Both conditions are decided in one place, `_pair_violations`, relative to
 the apex of each triangle and with tolerances scaled by R alone, so
 properness does not depend on where on the road an instance sits.
 `check_proper` applies it to every pair within reach (the bound is in its
-docstring), in O(n log n + pairs within reach) time and memory linear in
-n; `gen_random_proper` applies it, with a wider margin, to each candidate.
+docstring) in O(n log n + pairs within reach) time and memory linear in n;
+`gen_random_proper` applies it, with a wider margin, to each candidate.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ def check_proper(inst: Instance, tol: float = DEFAULT_TOL) -> ProperReport:
     that is negative or not finite raises ValueError.
 
     Only pairs within reach can violate: b against a needs |x_b - x_a| <=
-    w_a + tol*R*(w_a + R)/|y_a| (triangle) or R/2 - h_a + tol*R (nesting).
-    Each block of x-sorted points meets only the points within its reach,
-    padded for rounding: O(n log n + pairs within reach) time, memory O(n).
+    w_a + tol*R*(w_a + R)/|y_a| (triangle) or R/2 - h_a + tol*R (nesting),
+    so blocks of x-sorted points meet only the points in their padded
+    reach: O(n log n + pairs in reach) time, O(n) memory beside the report.
     """
     _check_tol(tol)
     v, R, n = inst.v, inst.R, len(inst.points)
