@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import reach_envelope
+from .geometry import _half_width, reach_envelope
 from .model import DEFAULT_TOL, Instance, earliest_start_pack, verify_schedule
 from .proper import _pair_violations, check_proper
 from .solvers import solve_exact, solve_greedy
@@ -112,10 +112,10 @@ def gen_random_band(n: int, v: float, R: float, x_span: float, seed: int) -> Ins
 # margin at which gen_random_proper rejects a candidate, well above the
 # checker's default, so that what it accepts passes check_proper
 _GEN_TOL = 1e3 * DEFAULT_TOL
+_MAX_REJECTIONS = 10_000
 
 
-def gen_random_proper(n: int, v: float, R: float, seed: int,
-                      max_rejections: int = 10_000) -> Instance:
+def gen_random_proper(n: int, v: float, R: float, seed: int) -> Instance:
     """Random proper instance, points placed left to right.
 
     Each candidate is placed right of the previous point so that its window
@@ -123,7 +123,7 @@ def gen_random_proper(n: int, v: float, R: float, seed: int,
     point's triangle, keep its own triangle clear of them, and nest in no
     earlier window nor contain one; `proper._pair_violations` decides this
     in both directions at a tolerance well above the checker's.  Candidates
-    violating that are rejected and redrawn; after max_rejections the
+    violating that are rejected and redrawn; after _MAX_REJECTIONS the
     generator gives up.
     """
     if n < 0:
@@ -136,7 +136,7 @@ def gen_random_proper(n: int, v: float, R: float, seed: int,
     while k < n:
         mag = rng.uniform(0.08 * m, 0.95 * m)
         y = mag if rng.random() < 0.5 else -mag
-        half = M * math.sqrt(max(0.0, 1.0 - (y * y) / (m * m)))
+        half = float(_half_width(y, v, R))
         if k == 0:
             x = rng.uniform(0.0, M)
         else:
@@ -152,8 +152,8 @@ def gen_random_proper(n: int, v: float, R: float, seed: int,
             k += 1
         else:
             rejections += 1
-            if rejections > max_rejections:
-                raise GenerationError(f"gave up after {max_rejections} rejected candidates")
+            if rejections > _MAX_REJECTIONS:
+                raise GenerationError(f"gave up after {_MAX_REJECTIONS} rejected candidates")
     inst = Instance(v, R, tuple(zip(xs.tolist(), ys.tolist())), truck_start=0.0)
     if not check_proper(inst).is_proper:
         raise GenerationError("sampled instance failed the properness check")

@@ -18,11 +18,10 @@ INFEASIBLE = math.inf
 
 def _point_xy(d) -> tuple[float, float]:
     """Accept either an (x, y) pair or an object with .x/.y attributes."""
-    try:
-        return float(d.x), float(d.y)
-    except AttributeError:
-        x, y = d
-        return float(x), float(y)
+    x, y = (float(d.x), float(d.y)) if hasattr(d, "x") else map(float, d)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point must be finite, got ({x}, {y})")
+    return x, y
 
 
 def _check_params(v: float, R: float) -> None:

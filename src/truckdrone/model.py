@@ -122,8 +122,8 @@ def verify_schedule(inst: Instance, sched: Schedule, tol: float = DEFAULT_TOL) -
 
     Landings stored in the schedule are ignored; only the launch abscissas
     matter.  Comparisons allow slack of tol times the instance scale.
-    Point indices outside the instance raise InvalidScheduleError, and a
-    tol that is negative or not finite raises ValueError.
+    Point indices outside the instance and NaN launches raise
+    InvalidScheduleError; a negative or non-finite tol raises ValueError.
     """
     _check_tol(tol)
     n = len(inst.points)
@@ -132,6 +132,8 @@ def verify_schedule(inst: Instance, sched: Schedule, tol: float = DEFAULT_TOL) -
             raise InvalidScheduleError(
                 f"entry {j} references point {d.point} of an instance with {n} points"
             )
+        if math.isnan(d.start):
+            raise InvalidScheduleError(f"entry {j} launches at NaN")
     slack = tol * instance_scale(inst)
     violations: list[tuple[int, str]] = []
     seen: set[int] = set()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -31,13 +30,14 @@ def solve_greedy(inst: Instance) -> Schedule:
     """Repeatedly fly to the point that lands the drone earliest.
 
     An event sweep over the truck position s, which advances to each
-    landing.  Points enter in order of es (then index) once es <= s and
-    leave once ls < s, exact as s never decreases, so every open point
-    lands unclamped.  Open points sit sorted by x and are landed outward
-    from s, lowest lower bound first, until the bound passes the earliest
-    landing plus the tie allowance; one whose height bound passes it is
+    landing.  Points join one x-sorted list in order of es (then index)
+    once es <= s, and leave it when served or more than R/2 behind s, as
+    ls <= x + R/2 - R/(2v) has closed (while R/v spans some ulps of s).
+    The list is walked outward from s, lowest lower bound first, until the
+    bound passes the earliest landing plus the tie allowance; a closed
+    point met (ls < s) is dropped, one whose height bound passes it
     skipped (the bounds hold in floating point for R > 1e-140).  With
-    nothing open, the truck drives to the next opening.
+    none landed, the truck drives to the next opening.
     Among landings within GREEDY_TIE_TOL * R of the earliest, the leftmost
     point wins, then the lowest index.
     """
@@ -52,25 +52,14 @@ def solve_greedy(inst: Instance) -> Schedule:
                                                2.0 / (v - 1.0), 2.0 / (v + 1.0)))
     tie = GREEDY_TIE_TOL * inst.R
     s, admitted = inst.truck_start, 0
-    live: list[tuple[float, int]] = []     # open points as (x, index), ascending
-    closing: list[tuple[float, int]] = []  # heap of (ls, index) of admitted points
+    live: list[tuple[float, int]] = []  # admitted, unserved points as (x, index), ascending
     entries: list[Delivery] = []
     while True:
         while admitted < len(order) and es[order[admitted]] <= s:
             i = order[admitted]
             insort(live, (xs[i], i))
-            heappush(closing, (ls[i], i))
             admitted += 1
-        while closing and closing[0][0] < s:
-            i = heappop(closing)[1]
-            k = bisect_left(live, (xs[i], i))
-            if k < len(live) and live[k][1] == i:  # else served already
-                del live[k]
-        if not live:
-            if admitted == len(order):
-                break
-            s = es[order[admitted]]
-            continue
+        del live[:bisect_left(live, (s - inst.R / 2.0, -1))]
         # walk out from s, lower bound first, until the bound passes the cutoff
         lo = hi = bisect_left(live, (s, -1))
         cutoff, lands = math.inf, []
@@ -84,12 +73,20 @@ def solve_greedy(inst: Instance) -> Schedule:
             else:
                 lo = k = lo - 1
             i = live[k][1]
-            if s + abs(ys[i]) * rise <= cutoff:
+            if ls[i] < s:  # closed: drop it; the walked points are live[lo:hi]
+                del live[k]
+                hi -= 1
+            elif s + abs(ys[i]) * rise <= cutoff:
                 r = _land(s, xs[i], ys[i], es[i], er[i], v)
-                lands.append((xs[i], i, r, k))
+                lands.append((xs[i], i, r))
                 cutoff = min(cutoff, r + tie)
-        _, pick, ret, k = min(c for c in lands if c[2] <= cutoff)
-        del live[k]
+        if not lands:
+            if admitted == len(order):
+                break
+            s = es[order[admitted]]
+            continue
+        _, pick, ret = min(c for c in lands if c[2] <= cutoff)  # frees the lr list
+        del live[bisect_left(live, (xs[pick], pick))]
         entries.append(Delivery(pick, s, ret))
         s = ret
     return Schedule(tuple(entries))
@@ -197,11 +194,11 @@ def solve_dp_proper(inst: Instance, require_proper: bool = True) -> Schedule:
 def solve_exact(inst: Instance, max_points: int = 10) -> Schedule:
     """Brute-force optimum by depth-first search over delivery orders.
 
-    A prefix is abandoned as soon as packing fails, and a branch is cut
-    when even serving every remaining startable point cannot beat the
-    best length found.  Among maximum-length schedules the earliest
-    completion wins, then the lexicographically smallest order.  Refuses
-    instances larger than max_points.
+    Each prefix grows by one point launched as early as possible, and a
+    branch is cut when even serving every remaining startable point
+    cannot beat the best length found.  Among maximum-length schedules
+    the earliest completion wins, then the lexicographically smallest
+    order.  Refuses instances larger than max_points.
     """
     n = len(inst.points)
     if n > max_points:

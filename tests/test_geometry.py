@@ -76,6 +76,15 @@ class TestStartWindow:
         assert start_window((0.0, 5.0), 2.0, 10.0) is None
         assert start_window((0.0, -5.0), 2.0, 10.0) is None
 
+    @pytest.mark.parametrize("x, y", [(1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0),
+                                      (1.0, -math.inf)])
+    def test_rejects_non_finite_point(self, x, y):
+        # a NaN height used to give a window, es = ls = x - R/(2v)
+        with pytest.raises(ValueError, match="finite"):
+            start_window((x, y), 2.0, 10.0)
+        with pytest.raises(ValueError, match="finite"):
+            return_position(0.0, (x, y), 2.0, 10.0)
+
     def test_window_shape_invariants(self):
         rng = random.Random(2)
         for _ in range(300):

@@ -162,6 +162,25 @@ class TestVerifySchedule:
         with pytest.raises(InvalidScheduleError):
             verify_schedule(inst, Schedule((Delivery(-1, 0.0, 0.0),)))
 
+    def test_nan_launch_raises(self):
+        # a NaN launch fails no comparison, so it would verify as feasible
+        inst = two_point_instance()
+        good = earliest_start_pack(inst, (0,)).deliveries[0]
+        for sched in (Schedule((Delivery(0, math.nan, 0.0),)),
+                      Schedule((good, Delivery(1, math.nan, 0.0)))):
+            with pytest.raises(InvalidScheduleError, match=f"entry {sched.count - 1} "):
+                verify_schedule(inst, sched)
+            with pytest.raises(InvalidScheduleError):
+                schedule_completion(inst, sched)
+
+    def test_infinite_launches_are_violations(self):
+        inst = two_point_instance()
+        late = verify_schedule(inst, Schedule((Delivery(0, math.inf, 0.0),)))
+        assert late.violations == ((0, START_AFTER_WINDOW),)
+        assert late.completion == INFEASIBLE
+        early = verify_schedule(inst, Schedule((Delivery(0, -math.inf, 0.0),)))
+        assert early.violations == ((0, START_BEFORE_TRUCK),)
+
     def test_start_within_tolerance_past_window_clamps(self):
         inst = two_point_instance()
         w = start_window(inst.points[0], inst.v, inst.R)

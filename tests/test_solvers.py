@@ -230,6 +230,59 @@ class TestGreedyMatchesScan:
             assert solve_greedy(inst).deliveries[0].point == 1
             made += 1
 
+    @staticmethod
+    def _closing_pair(T):
+        # the truck starts at point 0's es; point 1 lands first, at ~0.065 + T,
+        # past point 0's ls (~-0.32 + T) but only ~0.065 past point 0 itself,
+        # well within R/2 = 5
+        v, R = 2.0, 10.0
+        pts = [(T, 0.9 * minor_radius(v, R)), (T - 2.0, 4.1)]
+        w0 = start_window(pts[0], v, R)
+        s1 = return_positions(w0.es, *zip(*pts), v, R)[1]
+        assert w0.ls < T < s1 < return_positions(w0.es, *pts[0], v, R) and s1 < T + R / 2.0
+        return v, R, pts, w0.es
+
+    @pytest.mark.parametrize("T", [0.0, 1e6])
+    def test_window_closes_within_half_range_behind(self, T):
+        # at the second step point 0 is still kept, is walked first and has
+        # closed; point 2 opened meanwhile and is served
+        v, R, pts, start = self._closing_pair(T)
+        inst = Instance(v, R, pts + [(T + 3.0, 0.3)], truck_start=start)
+        assert_same_greedy(inst)
+        assert solve_greedy(inst).order == (1, 2)
+
+    @pytest.mark.parametrize("T", [0.0, 1e6])
+    def test_every_kept_point_closed_and_an_opening_ahead(self, T):
+        # after the first landing only point 0 is kept, and it has closed:
+        # nothing lands, so the truck drives on to point 2's opening
+        v, R, pts, start = self._closing_pair(T)
+        inst = Instance(v, R, pts + [(T + 20.0, 0.3)], truck_start=start)
+        assert_same_greedy(inst)
+        sched = solve_greedy(inst)
+        assert sched.order == (1, 2)
+        assert sched.deliveries[1].start == start_window((T + 20.0, 0.3), v, R).es
+
+    @pytest.mark.parametrize("T", [0.0, 1e6])
+    @pytest.mark.parametrize("lead", [False, True])
+    def test_points_either_side_of_half_range_behind(self, T, lead):
+        # at a step s, the truck start or point 0's landing, points sit at
+        # s - R/2 and one ulp either side, all closed, and the widest window,
+        # still open at s, sits R/2 - R/(2v) behind it and is served from s
+        v, R = 2.0, 10.0
+        first = [(T + 0.1, 0.05)] if lead else []
+        s = solve_greedy(Instance(v, R, first, truck_start=T)).deliveries[0].ret if lead else T
+        wide = s - R / 2.0 + R / (2.0 * v)
+        while start_window((wide, 1e-9), v, R).ls < s:
+            wide = math.nextafter(wide, math.inf)
+        edge = s - R / 2.0
+        near = (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf))
+        for y in (1e-9, 0.3, 0.9 * minor_radius(v, R)):
+            pts = first + [(wide, 1e-9), (T + 30.0, 0.3)] + [(x, y) for x in near]
+            inst = Instance(v, R, pts, truck_start=T)
+            assert_same_greedy(inst)
+            d = solve_greedy(inst).deliveries[len(first)]
+            assert (d.point, d.start) == (len(first), s)
+
     def test_far_truck_start(self):
         for seed in range(4):
             inst = gen_random_band(300, v=2.5, R=7.0, x_span=300.0, seed=seed)
