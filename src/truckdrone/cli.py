@@ -45,35 +45,35 @@ class CliError(Exception):
 # --- canonical JSON ---------------------------------------------------------
 
 
-def _fmt_num(x: float) -> str:
-    if isinstance(x, int) and not isinstance(x, bool):
-        return str(x)
-    text = format(float(x), ".17g")
-    return "-0.0" if text == "-0" else text  # "-0" would parse as the integer 0
+# _emit's types; any other value is written as the first it is an instance of
+_KINDS = (float, dict, list, tuple, str, bool, int, type(None))
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps does with a str
 
 
-def _emit(value, indent: int = 0) -> str:
-    pad = "  " * indent
+def _emit(value, pad: str = "") -> str:
+    kind = type(value)
+    if kind not in _KINDS:
+        kind = next((k for k in _KINDS if isinstance(value, k)), kind)
+    if kind is float:
+        text = format(float(value), ".17g")
+        return "-0.0" if text == "-0" else text  # "-0" would parse as the integer 0
+    if kind is dict or kind is list or kind is tuple:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = pad + "  "
+        if kind is dict:
+            body = ",\n".join([f"{inner}{_quote(k)}: {_emit(v, inner)}" for k, v in value.items()])
+            return f"{{\n{body}\n{pad}}}"
+        body = ",\n".join([inner + _emit(v, inner) for v in value])
+        return f"[\n{body}\n{pad}]"
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return str(value)
+    if kind is bool:
+        return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}  "{k}": {_emit(v, indent + 1)}' for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_emit(v, indent + 1)}" for v in value)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return _fmt_num(value)
-    if isinstance(value, str):
-        return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -96,9 +96,11 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _need_number(obj, key: str, where: str) -> float:
+    val = obj.get(key)
+    if type(val) is float and math.isfinite(val):
+        return val
     if key not in obj:
         raise CliError(f"{where}: missing field '{key}'")
-    val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise CliError(f"{where}: field '{key}' must be a number")
     if not abs(val) <= sys.float_info.max:  # NaN, inf, or an int past any float
@@ -107,13 +109,13 @@ def _need_number(obj, key: str, where: str) -> float:
 
 
 def _need_keys(obj, allowed: set[str], required: set[str], where: str) -> None:
+    if type(obj) is dict and obj.keys() == required:
+        return
     if not isinstance(obj, dict):
         raise CliError(f"{where}: expected a JSON object")
-    extra = set(obj) - allowed
-    if extra:
+    if extra := set(obj) - allowed:
         raise CliError(f"{where}: unknown fields {sorted(extra)}")
-    missing = required - set(obj)
-    if missing:
+    if missing := required - set(obj):
         raise CliError(f"{where}: missing fields {sorted(missing)}")
 
 
@@ -214,7 +216,7 @@ def cmd_solve(args) -> int:
     report = verify_schedule(inst, sched)
     _write_out(schedule_to_json(sched), args.output)
     print(
-        f"{args.algo}: count={sched.count} completion={_fmt_num(report.completion)}",
+        f"{args.algo}: count={sched.count} completion={_emit(report.completion)}",
         file=sys.stderr,
     )
     return 0
@@ -309,7 +311,7 @@ def cmd_compare(args) -> int:
         print(f"{'algo':<8} {'count':>5} {'completion':>22} {'wall_s':>10}  note")
         for r in rows:
             count = "-" if r["count"] is None else str(r["count"])
-            comp = "-" if r["completion"] is None else _fmt_num(r["completion"])
+            comp = "-" if r["completion"] is None else _emit(r["completion"])
             print(f"{r['algo']:<8} {count:>5} {comp:>22} {r['wall_s']:>10.4f}  {r['note']}")
     return 0
 

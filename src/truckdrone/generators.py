@@ -10,7 +10,7 @@ import numpy as np
 
 from .geometry import _half_width, reach_envelope
 from .model import DEFAULT_TOL, Instance, earliest_start_pack, verify_schedule
-from .proper import _pair_violations, check_proper
+from .proper import _pair_violations, _reach, check_proper
 from .solvers import solve_exact, solve_greedy
 
 
@@ -122,9 +122,9 @@ def gen_random_proper(n: int, v: float, R: float, seed: int) -> Instance:
     staggers after the previous one.  It must stay clear of every earlier
     point's triangle, keep its own triangle clear of them, and nest in no
     earlier window nor contain one; `proper._pair_violations` decides this
-    in both directions at a tolerance well above the checker's.  Candidates
-    violating that are rejected and redrawn; after _MAX_REJECTIONS the
-    generator gives up.
+    in both directions, against the points within `proper._reach` only, at
+    a tolerance well above the checker's.  Candidates violating that are
+    rejected and redrawn; after _MAX_REJECTIONS the generator gives up.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -132,7 +132,7 @@ def gen_random_proper(n: int, v: float, R: float, seed: int) -> Instance:
     M, m, F = env.major_radius, env.minor_radius, env.focal_gap
     rng = random.Random(seed)
     xs, ys = np.empty(n), np.empty(n)
-    k = rejections = 0
+    k = rejections = reach = 0
     while k < n:
         mag = rng.uniform(0.08 * m, 0.95 * m)
         y = mag if rng.random() < 0.5 else -mag
@@ -144,11 +144,14 @@ def gen_random_proper(n: int, v: float, R: float, seed: int) -> Instance:
             prev_half = last_ls - (px - F / 2.0)
             slack = abs(prev_half - half)
             x = px + slack + rng.uniform(0.05, 1.2) * (F / 2.0 + max(prev_half, half))
-        earlier = _pair_violations(xs[:k], ys[:k], x, y, v, R, _GEN_TOL)
-        later = _pair_violations(x, y, xs[:k], ys[:k], v, R, _GEN_TOL)
+        own = float(_reach(x, y, v, R, _GEN_TOL))
+        a = int(np.searchsorted(xs[:k], x - max(reach, own)))  # xs[:k] ascend
+        earlier = _pair_violations(xs[a:k], ys[a:k], x, y, v, R, _GEN_TOL)
+        later = _pair_violations(x, y, xs[a:k], ys[a:k], v, R, _GEN_TOL)
         if not any(hits.any() for hits in (*earlier, *later)):
             xs[k], ys[k] = x, y
             last_ls = x - F / 2.0 + half
+            reach = max(reach, own)
             k += 1
         else:
             rejections += 1

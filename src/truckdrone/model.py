@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import INFEASIBLE, _check_params, _land, return_position, start_window
+import numpy as np
+
+from .geometry import (INFEASIBLE, _check_params, return_position, return_positions,
+                       start_window, window_arrays)
 
 DEFAULT_TOL = 1e-9
 
@@ -37,8 +40,9 @@ class DeliveryPoint:
     y: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
+        if type(self.x) is not float or type(self.y) is not float:
+            object.__setattr__(self, "x", float(self.x))
+            object.__setattr__(self, "y", float(self.y))
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"delivery point must be finite, got ({self.x}, {self.y})")
         if self.y == 0.0:
@@ -104,12 +108,18 @@ class FeasibilityReport:
     completion: float
 
 
+def _coords(inst: Instance) -> np.ndarray:
+    """x and y of every point, the rows of a 2 x n array."""
+    return np.array([[p.x for p in inst.points], [p.y for p in inst.points]]).reshape(2, -1)
+
+
+def _scale(inst: Instance, xs: np.ndarray, ys: np.ndarray) -> float:
+    return float(np.abs(np.concatenate(([1.0, inst.R, inst.truck_start], xs, ys))).max())
+
+
 def instance_scale(inst: Instance) -> float:
     """Magnitude that turns verify_schedule's relative tolerance into an absolute one."""
-    scale = max(1.0, inst.R, abs(inst.truck_start))
-    for p in inst.points:
-        scale = max(scale, abs(p.x), abs(p.y))
-    return scale
+    return _scale(inst, *_coords(inst))
 
 
 def _check_tol(tol: float) -> None:
@@ -120,42 +130,44 @@ def _check_tol(tol: float) -> None:
 def verify_schedule(inst: Instance, sched: Schedule, tol: float = DEFAULT_TOL) -> FeasibilityReport:
     """Check a schedule against the instance, recomputing every landing.
 
-    Landings stored in the schedule are ignored; only the launch abscissas
-    matter.  Comparisons allow slack of tol times the instance scale.
-    Point indices outside the instance and NaN launches raise
-    InvalidScheduleError; a negative or non-finite tol raises ValueError.
+    Stored landings are ignored: each entry launches at min(start, ls),
+    and one out of band or past its window lands at INFEASIBLE.  Slack is
+    tol times the instance scale.  Violations come by entry, within one as
+    duplicate, start or overlap, window.  Bad point indices and NaN launches
+    raise InvalidScheduleError; a negative or non-finite tol, ValueError.
     """
     _check_tol(tol)
-    n = len(inst.points)
-    for j, d in enumerate(sched.deliveries):
+    n, ds = len(inst.points), sched.deliveries
+    for j, d in enumerate(ds):
         if not 0 <= d.point < n:
             raise InvalidScheduleError(
                 f"entry {j} references point {d.point} of an instance with {n} points"
             )
         if math.isnan(d.start):
             raise InvalidScheduleError(f"entry {j} launches at NaN")
-    slack = tol * instance_scale(inst)
-    violations: list[tuple[int, str]] = []
-    seen: set[int] = set()
-    prev_ret = inst.truck_start
-    completion = inst.truck_start
-    for j, d in enumerate(sched.deliveries):
-        if d.point in seen:
-            violations.append((j, DUPLICATE_POINT))
-        seen.add(d.point)
-        if j == 0:
-            if d.start < inst.truck_start - slack:
-                violations.append((j, START_BEFORE_TRUCK))
-        elif d.start < prev_ret - slack:
-            violations.append((j, OVERLAP_PREVIOUS))
-        p = inst.points[d.point]
-        w = start_window(p, inst.v, inst.R)
-        if w is None or d.start > w.ls + slack:
-            violations.append((j, OUT_OF_BAND if w is None else START_AFTER_WINDOW))
-            prev_ret = completion = INFEASIBLE
-            continue
+    idx = np.fromiter((d.point for d in ds), np.intp, len(ds))
+    starts = np.fromiter((d.start for d in ds), float, len(ds))
+    xs, ys = _coords(inst)
+    slack = tol * _scale(inst, xs, ys)
+    xs, ys = xs[idx], ys[idx]
+    with np.errstate(over="ignore"):  # heights far out of band square to inf
+        windows = es, ls, er, lr, in_band = window_arrays(xs, ys, inst.v, inst.R)
         # a start within tolerance past the window still lands from ls
-        prev_ret = completion = _land(min(d.start, w.ls), p.x, p.y, w.es, w.er, inst.v)
+        ret = return_positions(np.minimum(starts, ls), xs, ys, inst.v, inst.R, windows)
+    late = ~in_band | (starts > ls + slack)
+    ret[late] = INFEASIBLE
+    early = starts < np.concatenate(([inst.truck_start], ret[:-1])) - slack
+    seen: set[int] = set()  # set.add returns None, so only repeats read True
+    dup = np.array([d.point in seen or seen.add(d.point) for d in ds], dtype=bool)
+    violations: list[tuple[int, str]] = []
+    for j in np.flatnonzero(dup | early | late).tolist():
+        if dup[j]:
+            violations.append((j, DUPLICATE_POINT))
+        if early[j]:
+            violations.append((j, OVERLAP_PREVIOUS if j else START_BEFORE_TRUCK))
+        if late[j]:
+            violations.append((j, START_AFTER_WINDOW if in_band[j] else OUT_OF_BAND))
+    completion = float(ret[-1]) if ds else inst.truck_start  # a Python float, like the start
     return FeasibilityReport(not violations, tuple(violations), completion)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _half_width, _minor_radius, start_window
-from .model import DEFAULT_TOL, Instance, _check_tol
+from .model import DEFAULT_TOL, Instance, _check_tol, _coords
 
 _BLOCK = 64  # points per block of check_proper's sweep
 
@@ -82,6 +82,16 @@ def _pair_violations(xa, ya, xb, yb, v: float, R: float, tol: float):
     return triangle, nested
 
 
+def _reach(xa, ya, v: float, R: float, tol: float):
+    """|x_b - x_a| up to which b can violate a: w_a + tol*R*(w_a + R)/|y_a| (triangle)
+    or R/2 - h_a + tol*R (nesting), padded for rounding; arrays work too."""
+    slack, ha = (tol + 1e-12) * R, _half_width(ya, v, R)  # 1e-12 covers the pair test's rounding
+    wa = R / (2.0 * v) + ha
+    with np.errstate(over="ignore"):  # |y| near 0: an infinite reach
+        reach = np.maximum(wa + slack * (wa + R) / np.abs(ya), R / 2.0 - ha + slack)
+    return reach * (1.0 + 1e-9) + 4.0 * np.spacing(np.abs(xa))
+
+
 def check_proper(inst: Instance, tol: float = DEFAULT_TOL) -> ProperReport:
     """Scan every ordered pair within reach for properness violations.
 
@@ -91,23 +101,16 @@ def check_proper(inst: Instance, tol: float = DEFAULT_TOL) -> ProperReport:
     tol*R^2 on areas) are flagged too, erring toward "not proper".  A tol
     that is negative or not finite raises ValueError.
 
-    Only pairs within reach can violate: b against a needs |x_b - x_a| <=
-    w_a + tol*R*(w_a + R)/|y_a| (triangle) or R/2 - h_a + tol*R (nesting),
-    so blocks of x-sorted points meet only the points in their padded
-    reach: O(n log n + pairs in reach) time, O(n) memory beside the report.
+    Blocks of x-sorted points meet only the points within their `_reach`:
+    O(n log n + pairs in reach) time, O(n) memory beside the report.
     """
     _check_tol(tol)
     v, R, n = inst.v, inst.R, len(inst.points)
-    xs = np.array([p.x for p in inst.points])
-    ys = np.array([p.y for p in inst.points])
+    xs, ys = _coords(inst)
     in_band = np.abs(ys) <= _minor_radius(v, R)
     idx = np.flatnonzero(in_band)[np.argsort(xs[in_band])]
     X, Y = xs[idx], ys[idx]
-    slack, ha = (tol + 1e-12) * R, _half_width(Y, v, R)  # 1e-12 covers the pair test's rounding
-    wa = R / (2.0 * v) + ha
-    with np.errstate(over="ignore"):  # |y| near 0: an infinite reach
-        reach = np.maximum(wa + slack * (wa + R) / np.abs(Y), R / 2.0 - ha + slack)
-    reach = reach * (1.0 + 1e-9) + 4.0 * np.spacing(np.abs(X))
+    reach = _reach(X, Y, v, R, tol)
     found = [np.empty(0, int)], [np.empty(0, int)]  # pairs (i, j) as i*n + j
     for a in range(0, len(X), _BLOCK):
         rows = slice(a, a + _BLOCK)

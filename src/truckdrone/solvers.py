@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _land, return_position, return_positions, start_window, window_arrays
-from .model import Delivery, Instance, Schedule, earliest_start_pack
+from .model import Delivery, Instance, Schedule, _coords, earliest_start_pack
 from .proper import NotProperError, check_proper
 
 GREEDY_TIE_TOL = 1e-9
@@ -127,8 +127,7 @@ def dp_table(inst: Instance) -> DpTable:
     """
     n = len(inst.points)
     ranks = tuple(sorted(range(n), key=lambda i: (inst.points[i].x, inst.points[i].y, i)))
-    xs = np.array([inst.points[i].x for i in ranks])
-    ys = np.array([inst.points[i].y for i in ranks])
+    xs, ys = (c[list(ranks)] for c in _coords(inst))
     windows = window_arrays(xs, ys, inst.v, inst.R)
 
     rows: list[np.ndarray] = []

@@ -10,12 +10,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import truckdrone
 from truckdrone.cli import (
+    CliError,
+    emit_json,
     instance_to_json,
     load_instance,
     load_schedule,
@@ -568,3 +571,134 @@ class TestMalformedInputProperties:
         path = tmp_path / "deep.json"
         path.write_text("[" * 10**5)
         assert_usage_error(run_cli("check-proper", "--input", str(path)), "usable JSON")
+
+
+def _reference_fmt_num(x):
+    if isinstance(x, int) and not isinstance(x, bool):
+        return str(x)
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text
+
+
+def _reference_emit(value, indent=0):
+    """Reference writer: isinstance checks in turn, the pad rebuilt per call."""
+    pad = "  " * indent
+    if value is None:
+        return "null"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = ",\n".join(
+            f'{pad}  "{k}": {_reference_emit(v, indent + 1)}' for k, v in value.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = ",\n".join(f"{pad}  {_reference_emit(v, indent + 1)}" for v in value)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return _reference_fmt_num(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+# keys the reference writes correctly: it quotes them without escaping
+_PLAIN_KEYS = st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                    blacklist_characters='"\\'), max_size=6)
+_LEAVES = st.one_of(
+    st.floats(), st.sampled_from(_EDGE_FLOATS + [1e308, -1e308, math.inf, -math.inf]),
+    st.floats().map(np.float64), st.integers(), st.integers(-2**70, 2**70), st.booleans(),
+    st.none(), st.text(), st.sampled_from(['a"b', "back\\slash", "tab\t", "\u00e9\u6f22", ""]))
+_DOCUMENTS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_PLAIN_KEYS, inner, max_size=4)), max_leaves=25)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400)
+    @given(doc=_DOCUMENTS)
+    def test_bytes_equal_the_reference_writer(self, doc):
+        assert emit_json(doc) == _reference_emit(doc) + "\n"
+
+    @pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", np.int64(3), 1j,
+                                     np.array([1.0]), np.bool_(True)])
+    def test_unsupported_types_raise(self, bad):
+        for doc in (bad, [1.0, bad], {"k": (bad,)}):
+            with pytest.raises(TypeError):
+                _reference_emit(doc)
+            with pytest.raises(TypeError, match="cannot serialize"):
+                emit_json(doc)
+
+    def test_keys_are_escaped(self):
+        doc = {'a"b': 1, "back\\slash": [True], "\u00e9\n": {"": None}}
+        assert json.loads(emit_json(doc)) == doc
+
+
+def _reader_error(tmp_path, load, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CliError) as err:
+        load(str(path))
+    return str(err.value).replace(str(path), "FILE")
+
+
+# (field, value, message) for a bad number field; the message follows "<where>: "
+_BAD_NUMBERS = [
+    (True, "field '{}' must be a number"),
+    ("1.0", "field '{}' must be a number"),
+    (math.nan, "field '{}' must be finite"),
+    (math.inf, "field '{}' must be finite"),
+    (-math.inf, "field '{}' must be finite"),
+    (10**400, "field '{}' must be finite"),
+]
+
+
+class TestReaderErrors:
+    """The readers' messages, pinned at the top level, in a point and in a delivery."""
+
+    @pytest.mark.parametrize("value, message", _BAD_NUMBERS)
+    @pytest.mark.parametrize("where, field", [("", "v"), ("", "truck_start"),
+                                              ("points[1]", "x"), ("points[1]", "y")])
+    def test_instance_numbers(self, tmp_path, where, field, value, message):
+        doc = copy.deepcopy(_GOOD_INSTANCE)
+        (doc["points"][1] if where else doc)[field] = value
+        prefix = f"FILE: {where}: " if where else "FILE: "
+        assert _reader_error(tmp_path, load_instance, doc) == prefix + message.format(field)
+
+    @pytest.mark.parametrize("value, message", _BAD_NUMBERS)
+    @pytest.mark.parametrize("field", ["start", "return"])
+    def test_delivery_numbers(self, tmp_path, field, value, message):
+        doc = copy.deepcopy(_GOOD_SCHEDULE)
+        doc["deliveries"][0][field] = value
+        assert (_reader_error(tmp_path, load_schedule, doc)
+                == "FILE: deliveries[0]: " + message.format(field))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(note=1), "FILE: unknown fields ['note']"),
+        (lambda d: d.pop("R"), "FILE: missing fields ['R']"),
+        (lambda d: d["points"][1].update(z=0.0, w=1), "FILE: points[1]: unknown fields ['w', 'z']"),
+        (lambda d: d["points"][1].pop("x"), "FILE: points[1]: missing fields ['x']"),
+        (lambda d: d["points"].__setitem__(0, [1.0, 3.0]), "FILE: points[0]: expected a JSON object"),
+    ])
+    def test_instance_keys(self, tmp_path, edit, message):
+        doc = copy.deepcopy(_GOOD_INSTANCE)
+        edit(doc)
+        assert _reader_error(tmp_path, load_instance, doc) == message
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(note=1), "FILE: unknown fields ['note']"),
+        (lambda d: d.pop("count"), "FILE: missing fields ['count']"),
+        (lambda d: d["deliveries"][0].update(ret=1.0),
+         "FILE: deliveries[0]: unknown fields ['ret']"),
+        (lambda d: d["deliveries"][0].pop("start"), "FILE: deliveries[0]: missing fields ['start']"),
+        (lambda d: d["deliveries"][0].update(point=True),
+         "FILE: deliveries[0]: 'point' must be a nonnegative integer"),
+    ])
+    def test_schedule_keys(self, tmp_path, edit, message):
+        doc = copy.deepcopy(_GOOD_SCHEDULE)
+        edit(doc)
+        assert _reader_error(tmp_path, load_schedule, doc) == message

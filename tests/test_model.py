@@ -4,8 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from truckdrone.geometry import INFEASIBLE, return_position, start_window
+from truckdrone.geometry import INFEASIBLE, _land, return_position, start_window
 from truckdrone.model import (
     DUPLICATE_POINT,
     OUT_OF_BAND,
@@ -14,6 +16,7 @@ from truckdrone.model import (
     START_BEFORE_TRUCK,
     Delivery,
     DeliveryPoint,
+    FeasibilityReport,
     InfeasibleScheduleError,
     Instance,
     InvalidScheduleError,
@@ -23,6 +26,7 @@ from truckdrone.model import (
     schedule_completion,
     verify_schedule,
 )
+from truckdrone.solvers import solve_greedy
 
 
 def minor_radius(v, R):
@@ -33,6 +37,92 @@ def two_point_instance():
     # second point sits at 60% of the band height, well to the right
     m = minor_radius(2.0, 10.0)
     return Instance(v=2.0, R=10.0, points=[(5.0, 3.0), (30.0, 0.6 * m)])
+
+
+def _scalar_verify(inst, sched, tol=1e-9):
+    """Reference verify: entry by entry, one scalar window and landing each."""
+    n = len(inst.points)
+    for j, d in enumerate(sched.deliveries):
+        if not 0 <= d.point < n:
+            raise InvalidScheduleError(
+                f"entry {j} references point {d.point} of an instance with {n} points"
+            )
+        if math.isnan(d.start):
+            raise InvalidScheduleError(f"entry {j} launches at NaN")
+    scale = max(1.0, inst.R, abs(inst.truck_start))
+    for p in inst.points:
+        scale = max(scale, abs(p.x), abs(p.y))
+    slack = tol * scale
+    violations = []
+    seen = set()
+    prev_ret = inst.truck_start
+    completion = inst.truck_start
+    for j, d in enumerate(sched.deliveries):
+        if d.point in seen:
+            violations.append((j, DUPLICATE_POINT))
+        seen.add(d.point)
+        if j == 0:
+            if d.start < inst.truck_start - slack:
+                violations.append((j, START_BEFORE_TRUCK))
+        elif d.start < prev_ret - slack:
+            violations.append((j, OVERLAP_PREVIOUS))
+        p = inst.points[d.point]
+        w = start_window(p, inst.v, inst.R)
+        if w is None or d.start > w.ls + slack:
+            violations.append((j, OUT_OF_BAND if w is None else START_AFTER_WINDOW))
+            prev_ret = completion = INFEASIBLE
+            continue
+        prev_ret = completion = _land(min(d.start, w.ls), p.x, p.y, w.es, w.er, inst.v)
+    return FeasibilityReport(not violations, tuple(violations), completion)
+
+
+@st.composite
+def _verify_cases(draw):
+    """(instance, schedule, tol): a greedy schedule, then a few perturbations.
+
+    Points sit up to 10^7 along the road, some on or past the band edge;
+    perturbations shuffle, duplicate, truncate, shift, insert entries, and
+    set starts to +-inf or to one ulp either side of ls + slack.
+    """
+    v, R = draw(st.floats(1.05, 6.0)), draw(st.floats(0.5, 20.0))
+    m = minor_radius(v, R)
+    shift = draw(st.sampled_from([0.0, -1e3, 1e4, 1e7]))
+    heights = st.one_of(st.floats(-1.0, 1.0).map(lambda f: f * m),
+                        st.sampled_from([m, -m, 1.5 * m, -3.0 * m]))
+    ys = draw(st.lists(heights.filter(lambda y: y != 0.0), min_size=draw(st.sampled_from([0, 3])),
+                       max_size=8))
+    pts = [(shift + draw(st.floats(0.0, 40.0)), y) for y in ys]
+    inst = Instance(v, R, pts, truck_start=shift + draw(st.floats(-5.0, 5.0)))
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    slack = tol * instance_scale(inst)
+    entries = list(solve_greedy(inst).deliveries)
+    for _ in range(draw(st.integers(0, 4))):
+        how = draw(st.sampled_from(["shuffle", "duplicate", "truncate", "shift", "inf",
+                                    "edge", "insert"]))
+        if how == "insert" and pts:
+            start = shift + draw(st.floats(-10.0, 50.0))
+            entries.insert(draw(st.integers(0, len(entries))),
+                           Delivery(draw(st.integers(0, len(pts) - 1)), start, 0.0))
+        if not entries:
+            continue
+        j = draw(st.integers(0, len(entries) - 1))
+        d = entries[j]
+        if how == "shuffle":
+            entries = list(draw(st.permutations(entries)))
+        elif how == "duplicate":
+            entries.insert(draw(st.integers(0, len(entries))), d)
+        elif how == "truncate":
+            del entries[j:]
+        elif how == "shift":
+            entries[j] = Delivery(d.point, d.start + draw(st.floats(-10.0, 10.0)), d.ret)
+        elif how == "inf":
+            entries[j] = Delivery(d.point, draw(st.sampled_from([math.inf, -math.inf])), d.ret)
+        elif how == "edge":
+            w = start_window(inst.points[d.point], v, R)
+            if w is not None:
+                start = math.nextafter(w.ls + slack, draw(st.sampled_from([math.inf, -math.inf])))
+                entries[j] = Delivery(d.point, start, d.ret)
+    return inst, Schedule(tuple(entries)), tol
 
 
 class TestDeliveryPoint:
@@ -228,6 +318,28 @@ class TestVerifySchedule:
         report = verify_schedule(inst, sched)
         assert (0, START_AFTER_WINDOW) in report.violations
         assert (1, OVERLAP_PREVIOUS) in report.violations
+
+
+    def test_first_bad_entry_names_the_error(self):
+        inst = two_point_instance()
+        nan_first = Schedule((Delivery(0, 0.0, 0.0), Delivery(1, math.nan, 0.0),
+                              Delivery(5, 0.0, 0.0)))
+        index_first = Schedule((Delivery(-1, 0.0, 0.0), Delivery(1, math.nan, 0.0)))
+        for sched, message in ((nan_first, "entry 1 launches at NaN"),
+                               (index_first, "entry 0 references point -1 of an instance "
+                                             "with 2 points")):
+            for verify in (verify_schedule, _scalar_verify):
+                with pytest.raises(InvalidScheduleError) as err:
+                    verify(inst, sched)
+                assert str(err.value) == message
+
+    @settings(max_examples=400)
+    @given(case=_verify_cases())
+    def test_equals_the_scalar_loop(self, case):
+        inst, sched, tol = case
+        report = verify_schedule(inst, sched, tol)
+        assert report == _scalar_verify(inst, sched, tol)
+        assert type(report.completion) is float
 
 
 class TestScheduleCompletion:
