@@ -184,44 +184,41 @@ def gen_greedy_tightness(k: int, v: float, R: float) -> tuple[Instance, Tightnes
     launch abscissa only.  Each is paired with a decoy whose window opens
     earlier; greedy takes the decoy and overshoots the edge point's unique
     launch.  Serving edge point then decoy, pair by pair, covers all 2k.
-    The instance is certified by the solvers before being returned.
+    One construction needs no fallback.  The decoy's window half-width
+    w = D + (min(F, M) - D)/2, with D = F/2, is below M = R/2 for every
+    v > 1, so y_decoy > 0; and it sits at x = D + w, so its window opens
+    at the truck start.  The solvers certify the instance before it is
+    returned; a failed check raises GenerationError naming it.
     """
     if k < 1:
         raise ValueError("need at least one pair")
     env = reach_envelope(v, R)
     M, m, F = env.major_radius, env.minor_radius, env.focal_gap
     D = F / 2.0
-    w_hi = min(F, M)
+    w = D + 0.5 * (min(F, M) - D)
+    y_decoy = m * math.sqrt(max(0.0, 1.0 - (w / M) ** 2))
+    if y_decoy == 0.0:  # w rounds up to M for v within an ulp or so of 1
+        raise GenerationError(f"decoy height rounds to 0 at v={v}")
+    x_decoy = D + w  # decoy window opens exactly at the truck start
+    x_edge = x_decoy + w - F - 0.25 * (2.0 * w - F)  # lands (2w - F)/4 before the decoy ls
     period = 2.0 * F + M
-    for w_frac in (0.5, 0.3, 0.7, 0.15, 0.85):
-        for g_frac in (0.25, 0.5, 0.08):
-            w = D + w_frac * (w_hi - D)
-            g = g_frac * (2.0 * w - F)
-            y_decoy = m * math.sqrt(max(0.0, 1.0 - (w / M) ** 2))
-            if y_decoy == 0.0:
-                continue
-            x_decoy = D + w  # decoy window opens exactly at the truck start
-            x_edge = x_decoy + w - F - g
-            pts = [pt for p in range(k)
-                   for pt in ((x_edge + p * period, m), (x_decoy + p * period, y_decoy))]
-            inst = Instance(v, R, tuple(pts), truck_start=0.0)
-            cert = _certify_tightness(inst, k)
-            if cert is not None:
-                return inst, cert
-    raise GenerationError(f"no certifiable construction for k={k}, v={v}, R={R}")
+    pts = [pt for p in range(k)
+           for pt in ((x_edge + p * period, m), (x_decoy + p * period, y_decoy))]
+    inst = Instance(v, R, tuple(pts), truck_start=0.0)
+    return inst, _certify_tightness(inst, k)
 
 
-def _certify_tightness(inst: Instance, k: int) -> TightnessCertificate | None:
+def _certify_tightness(inst: Instance, k: int) -> TightnessCertificate:
     n = 2 * k
-    if solve_greedy(inst).count != k:
-        return None
+    if (served := solve_greedy(inst).count) != k:
+        raise GenerationError(f"greedy serves {served} of {n} points, not {k}")
     witness_order = tuple(range(n))
     witness = earliest_start_pack(inst, witness_order)
     if witness is None or not verify_schedule(inst, witness).feasible:
-        return None
+        raise GenerationError(f"the witness order 0..{n - 1} does not pack feasibly")
     if n <= 10:
-        if solve_exact(inst).count != n:
-            return None
+        if (best := solve_exact(inst).count) != n:
+            raise GenerationError(f"the exact optimum is {best}, not {n}")
         method = "exact-solver"
     else:
         # the witness serves every point, so no schedule can be longer

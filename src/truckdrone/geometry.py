@@ -172,6 +172,7 @@ import numpy as np
 def _half_width(y, v: float, R: float):
     """Start-window half-width at height y (start_window's half_width); arrays work too."""
     m = _minor_radius(v, R)
+    y = np.minimum(np.abs(y), m)  # |y| in band; far out of it no square overflows
     return (R / 2.0) * np.sqrt(np.maximum(0.0, 1.0 - (y * y) / (m * m)))
 
 
@@ -207,11 +208,11 @@ def return_positions(s, xs, ys, v: float, R: float, windows=None):
     if windows is None:
         windows = window_arrays(xs, ys, v, R)
     es, ls, er, lr, in_band = windows
-    # evaluate on a clamped launch so placeholders and infinities never
-    # reach the flight time
+    # evaluate on a launch clamped to the window and a height clamped to the
+    # band, so placeholders, infinities and far heights never reach the flight time
     sc = np.clip(s, es, ls)
-    dx = sc - xs
-    ret = sc + _flight_time(dx, np.sqrt(ys * ys + dx * dx), v)
+    dx, y = sc - xs, np.minimum(np.abs(ys), _minor_radius(v, R))
+    ret = sc + _flight_time(dx, np.sqrt(y * y + dx * dx), v)
     ret = np.where(s < es, er, ret)
     ret = np.where(s > ls, np.inf, ret)
     return np.where(in_band, ret, np.inf)

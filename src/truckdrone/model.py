@@ -150,10 +150,9 @@ def verify_schedule(inst: Instance, sched: Schedule, tol: float = DEFAULT_TOL) -
     xs, ys = _coords(inst)
     slack = tol * _scale(inst, xs, ys)
     xs, ys = xs[idx], ys[idx]
-    with np.errstate(over="ignore"):  # heights far out of band square to inf
-        windows = es, ls, er, lr, in_band = window_arrays(xs, ys, inst.v, inst.R)
-        # a start within tolerance past the window still lands from ls
-        ret = return_positions(np.minimum(starts, ls), xs, ys, inst.v, inst.R, windows)
+    windows = es, ls, er, lr, in_band = window_arrays(xs, ys, inst.v, inst.R)
+    # a start within tolerance past the window still lands from ls
+    ret = return_positions(np.minimum(starts, ls), xs, ys, inst.v, inst.R, windows)
     late = ~in_band | (starts > ls + slack)
     ret[late] = INFEASIBLE
     early = starts < np.concatenate(([inst.truck_start], ret[:-1])) - slack

@@ -25,6 +25,14 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:.2f}"
 
 
+def _tag(name: str, text: str | None = None, **attrs) -> str:
+    """One SVG element.  '_' in an attribute name is written '-'; string
+    values are written as given, numbers through _fmt."""
+    body = "".join(f' {k.replace("_", "-")}="{v if isinstance(v, str) else _fmt(v)}"'
+                   for k, v in attrs.items())
+    return f"<{name}{body}/>" if text is None else f"<{name}{body}>{text}</{name}>"
+
+
 def render_svg(inst: Instance, sched: Schedule | None = None,
                show_windows: bool = False, show_ellipses: bool = False) -> str:
     """Draw the band, the truck's path (red), and each flight (blue).
@@ -33,16 +41,10 @@ def render_svg(inst: Instance, sched: Schedule | None = None,
     reach ellipse of every scheduled launch.
     """
     env = reach_envelope(inst.v, inst.R)
-    m = env.minor_radius
-    if inst.points:
-        lo = min(p.x for p in inst.points) - inst.R
-        hi = max(p.x for p in inst.points) + inst.R
-    else:
-        lo = inst.truck_start - inst.R
-        hi = inst.truck_start + inst.R
+    xs = [p.x for p in inst.points] or [inst.truck_start]
+    lo, hi = min(xs) - inst.R, max(xs) + inst.R
     world_w = hi - lo
-    world_h = 2.0 * m
-    scale = min(WIDTH / world_w, HEIGHT / world_h)
+    scale = min(WIDTH / world_w, HEIGHT / (2.0 * env.minor_radius))
 
     def X(wx: float) -> float:
         return (WIDTH - world_w * scale) / 2.0 + (wx - lo) * scale
@@ -50,74 +52,44 @@ def render_svg(inst: Instance, sched: Schedule | None = None,
     def Y(wy: float) -> float:
         return HEIGHT / 2.0 - wy * scale
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
-        f'height="{_fmt(HEIGHT)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">',
-        f'<rect x="0" y="0" width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" fill="#ffffff"/>',
-        f'<line x1="0" y1="{_fmt(Y(0.0))}" x2="{_fmt(WIDTH)}" y2="{_fmt(Y(0.0))}" '
-        f'stroke="{AXIS_COLOR}" stroke-width="1"/>',
-    ]
+    def line(x1, y1, x2, y2, color: str, width: str, **extra) -> str:
+        return _tag("line", x1=x1, y1=y1, x2=x2, y2=y2, stroke=color, stroke_width=width, **extra)
 
+    axis = Y(0.0)
+    parts = [_tag("rect", x="0", y="0", width=WIDTH, height=HEIGHT, fill="#ffffff"),
+             line("0", axis, WIDTH, axis, AXIS_COLOR, "1")]
     deliveries = sched.deliveries if sched is not None else ()
 
     if show_ellipses:
         for d in deliveries:
-            cx = d.start + env.focal_gap / 2.0
-            parts.append(
-                f'<ellipse cx="{_fmt(X(cx))}" cy="{_fmt(Y(0.0))}" '
-                f'rx="{_fmt(env.major_radius * scale)}" ry="{_fmt(m * scale)}" '
-                f'fill="none" stroke="{ELLIPSE_COLOR}" stroke-width="1" '
-                f'stroke-dasharray="4 3"/>'
-            )
+            parts.append(_tag("ellipse", cx=X(d.start + env.focal_gap / 2.0), cy=axis,
+                              rx=env.major_radius * scale, ry=env.minor_radius * scale,
+                              fill="none", stroke=ELLIPSE_COLOR, stroke_width="1",
+                              stroke_dasharray="4 3"))
 
     if show_windows:
-        for i, p in enumerate(inst.points):
+        for p in inst.points:
             w = start_window(p, inst.v, inst.R)
             if w is None:
                 continue
-            ya, yb = Y(0.0) - 5.0, Y(0.0) + 5.0
-            for tick in (w.es, w.ls):
-                parts.append(
-                    f'<line x1="{_fmt(X(tick))}" y1="{_fmt(ya)}" '
-                    f'x2="{_fmt(X(tick))}" y2="{_fmt(yb)}" '
-                    f'stroke="{WINDOW_COLOR}" stroke-width="1.5"/>'
-                )
-            parts.append(
-                f'<line x1="{_fmt(X(w.es))}" y1="{_fmt(Y(0.0))}" '
-                f'x2="{_fmt(X(w.ls))}" y2="{_fmt(Y(0.0))}" '
-                f'stroke="{WINDOW_COLOR}" stroke-width="3" opacity="0.5"/>'
-            )
+            for t in (w.es, w.ls):
+                parts.append(line(X(t), axis - 5.0, X(t), axis + 5.0, WINDOW_COLOR, "1.5"))
+            parts.append(line(X(w.es), axis, X(w.ls), axis, WINDOW_COLOR, "3", opacity="0.5"))
 
-    truck_end = max((d.ret for d in deliveries), default=inst.truck_start)
-    truck_end = max(truck_end, hi)
-    parts.append(
-        f'<line x1="{_fmt(X(inst.truck_start))}" y1="{_fmt(Y(0.0))}" '
-        f'x2="{_fmt(X(truck_end))}" y2="{_fmt(Y(0.0))}" '
-        f'stroke="{TRUCK_COLOR}" stroke-width="2.5"/>'
-    )
+    truck_end = max(max((d.ret for d in deliveries), default=inst.truck_start), hi)
+    parts.append(line(X(inst.truck_start), axis, X(truck_end), axis, TRUCK_COLOR, "2.5"))
 
     for d in deliveries:
         p = inst.points[d.point]
-        pts = (
-            f"{_fmt(X(d.start))},{_fmt(Y(0.0))} "
-            f"{_fmt(X(p.x))},{_fmt(Y(p.y))} "
-            f"{_fmt(X(d.ret))},{_fmt(Y(0.0))}"
-        )
-        parts.append(
-            f'<polyline points="{pts}" fill="none" '
-            f'stroke="{DRONE_COLOR}" stroke-width="1.5"/>'
-        )
+        pts = " ".join(f"{_fmt(X(wx))},{_fmt(Y(wy))}"
+                       for wx, wy in ((d.start, 0.0), (p.x, p.y), (d.ret, 0.0)))
+        parts.append(_tag("polyline", points=pts, fill="none", stroke=DRONE_COLOR,
+                          stroke_width="1.5"))
 
     for i, p in enumerate(inst.points):
-        parts.append(
-            f'<circle cx="{_fmt(X(p.x))}" cy="{_fmt(Y(p.y))}" r="3" '
-            f'fill="{POINT_COLOR}"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(X(p.x) + 5.0)}" y="{_fmt(Y(p.y) - 5.0)}" '
-            f'font-size="11" font-family="monospace" '
-            f'fill="{POINT_COLOR}">{i}</text>'
-        )
+        parts.append(_tag("circle", cx=X(p.x), cy=Y(p.y), r="3", fill=POINT_COLOR))
+        parts.append(_tag("text", str(i), x=X(p.x) + 5.0, y=Y(p.y) - 5.0, font_size="11",
+                          font_family="monospace", fill=POINT_COLOR))
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _tag("svg", "\n" + "\n".join(parts) + "\n", xmlns="http://www.w3.org/2000/svg",
+                width=WIDTH, height=HEIGHT, viewBox=f"0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}") + "\n"

@@ -204,38 +204,21 @@ def solve_exact(inst: Instance, max_points: int = 10) -> Schedule:
         raise BudgetError(f"instance has {n} points, budget is {max_points}")
     windows = [start_window(p, inst.v, inst.R) for p in inst.points]
 
-    best_order: tuple[int, ...] = ()
-    best_len = 0
-    best_completion = inst.truck_start
-
-    used = [False] * n
-    prefix: list[int] = []
-
-    def dfs(cur: float) -> None:
-        nonlocal best_order, best_len, best_completion
-        if len(prefix) > best_len or (len(prefix) == best_len and cur < best_completion):
-            best_len = len(prefix)
-            best_completion = cur
-            best_order = tuple(prefix)
-        startable = sum(
-            1 for i in range(n)
-            if not used[i] and windows[i] is not None and cur <= windows[i].ls
-        )
-        if len(prefix) + startable < best_len:
-            return
-        for i in range(n):
-            if used[i] or windows[i] is None:
-                continue
+    def dfs(prefix: tuple[int, ...], left: tuple[int, ...], cur: float, best: tuple) -> tuple:
+        # best is (length, completion, order) of the best schedule found so far
+        if len(prefix) > best[0] or (len(prefix) == best[0] and cur < best[1]):
+            best = (len(prefix), cur, prefix)
+        if len(prefix) + sum(cur <= windows[i].ls for i in left) < best[0]:
+            return best
+        for k, i in enumerate(left):
             start = max(cur, windows[i].es)
-            if start > windows[i].ls:
-                continue
-            used[i] = True
-            prefix.append(i)
-            dfs(return_position(start, inst.points[i], inst.v, inst.R))
-            prefix.pop()
-            used[i] = False
+            if start <= windows[i].ls:
+                ret = return_position(start, inst.points[i], inst.v, inst.R)
+                best = dfs(prefix + (i,), left[:k] + left[k + 1:], ret, best)
+        return best
 
-    dfs(inst.truck_start)
-    sched = earliest_start_pack(inst, best_order)
+    in_band = tuple(i for i, w in enumerate(windows) if w is not None)
+    _, _, order = dfs((), in_band, inst.truck_start, (0, inst.truck_start, ()))
+    sched = earliest_start_pack(inst, order)
     assert sched is not None
     return sched

@@ -255,6 +255,21 @@ class TestSolveAndVerify:
                          "--max-points", "12")
         assert raised.returncode == 0
 
+    def test_far_out_of_band_points_print_no_warning(self, tmp_path):
+        inst = tmp_path / "far.json"
+        inst.write_text(json.dumps({"v": 2.0, "R": 10.0, "points": [
+            {"x": 1.0, "y": 1e200}, {"x": 5.0, "y": 2.0}, {"x": 9.0, "y": -1e300}]}))
+        sched = tmp_path / "sched.json"
+        for algo, extra in (("greedy", ()), ("dp", ("--allow-nonproper",)), ("exact", ())):
+            res = run_cli("solve", "--algo", algo, "--input", str(inst),
+                          "--output", str(sched), *extra)
+            assert res.returncode == 0
+            # the summary line and nothing else: no RuntimeWarning from numpy
+            [line] = res.stderr.splitlines()
+            assert line.startswith(f"{algo}: count=1 completion=")
+            ver = run_cli("verify", "--instance", str(inst), "--schedule", str(sched))
+            assert (ver.returncode, ver.stderr) == (0, "")
+
     def test_empty_instance_solves_to_zero(self, tmp_path):
         inst = tmp_path / "empty.json"
         inst.write_text(json.dumps({"v": 2.0, "R": 10.0, "points": []}))

@@ -1,10 +1,12 @@
 """Tests for the instance generators."""
 
 import hashlib
+import itertools
 import math
 
 import pytest
 
+from truckdrone import generators
 from truckdrone.generators import (
     GenerationError,
     ThreePartitionSpec,
@@ -14,7 +16,7 @@ from truckdrone.generators import (
     gen_three_partition,
 )
 from truckdrone.geometry import reach_envelope, start_window
-from truckdrone.model import earliest_start_pack, verify_schedule
+from truckdrone.model import Instance, earliest_start_pack, verify_schedule
 from truckdrone.proper import check_proper
 from truckdrone.solvers import solve_exact, solve_greedy
 
@@ -102,6 +104,18 @@ class TestGenThreePartition:
         assert spec.k == 3 and spec.target == 9
         assert expected == 9 + 2 + 10
         assert len(inst) == expected
+
+    @pytest.mark.parametrize("values, optimum", [
+        ((1, 1, 1), 4),
+        ((1, 1, 1, 1, 1, 1), 5),
+        ((1, 2, 3, 2, 2, 2), 11),
+        ((1, 1, 1, 1, 1, 7), 11),  # a no-spec, with the optimum of a yes-spec
+    ])
+    def test_documented_optima(self, values, optimum):
+        # the optimum is not `expected`, and greedy already reaches it
+        inst, expected = gen_three_partition(ThreePartitionSpec(values))
+        assert solve_exact(inst, max_points=len(inst)).count == optimum < expected
+        assert solve_greedy(inst).count == optimum
 
 
 class TestGenRandomBand:
@@ -218,3 +232,43 @@ class TestGenGreedyTightness:
         for v, R in ((1.5, 4.0), (3.0, 9.0), (5.0, 2.0)):
             inst, cert = gen_greedy_tightness(2, v=v, R=R)
             assert cert.exact_count == 2 * cert.greedy_count
+
+    @pytest.mark.parametrize("k, v, R", itertools.product(
+        (1, 2, 5, 6, 12), (1.0001, 1.01, 1.5, 2.0, 3.0, 10.0, 1e4), (1e-6, 1.0, 10.0, 1e8)))
+    def test_one_construction_certifies_the_grid(self, k, v, R):
+        inst, cert = gen_greedy_tightness(k, v, R)
+        assert (cert.pairs, cert.greedy_count, cert.exact_count) == (k, k, 2 * k)
+        assert cert.method == ("exact-solver" if k <= 5 else "witness-pack")
+        assert solve_greedy(inst).count == k
+        m = reach_envelope(v, R).minor_radius
+        for edge, decoy in zip(inst.points[::2], inst.points[1::2]):
+            assert edge.y == m and 0.0 < decoy.y < m
+            assert start_window(decoy, v, R).es < start_window(edge, v, R).es
+        # the first decoy's window opens at the truck start, up to rounding
+        assert start_window(inst.points[1], v, R).es == pytest.approx(0.0, abs=1e-12 * R)
+
+    def test_instances_and_certificates_are_pinned(self):
+        # every coordinate and certificate field, so a rewrite cannot move them
+        text = ";".join(
+            ",".join(f"{p.x.hex()}:{p.y.hex()}" for p in inst.points) + repr(cert)
+            for inst, cert in (gen_greedy_tightness(k, v, R) for k, v, R in itertools.product(
+                (1, 2, 3, 5, 6, 12), (1.0001, 1.01, 1.5, 2.0, 3.0, 10.0, 1e4),
+                (1e-6, 1e-2, 1.0, 10.0, 1e4, 1e8))))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b319af73f23743ab458c5a2aefae1d9605a0c02d28c7a86f28cc80e36f9b82f8")
+
+    def test_failed_checks_are_named(self, monkeypatch):
+        inst, _ = gen_greedy_tightness(2, v=2.0, R=10.0)
+        with pytest.raises(GenerationError, match="greedy serves 2 of 6 points, not 3"):
+            generators._certify_tightness(inst, 3)
+        decoys_first = Instance(inst.v, inst.R, [inst.points[i] for i in (1, 0, 3, 2)])
+        with pytest.raises(GenerationError, match="witness order 0..3 does not pack"):
+            generators._certify_tightness(decoys_first, 2)
+        monkeypatch.setattr(generators, "solve_exact", solve_greedy)
+        with pytest.raises(GenerationError, match="exact optimum is 2, not 4"):
+            generators._certify_tightness(inst, 2)
+
+    def test_speed_an_ulp_above_one_is_refused(self):
+        # w rounds up to M there, which would put the decoy on the axis
+        with pytest.raises(GenerationError, match="decoy height rounds to 0"):
+            gen_greedy_tightness(2, v=1.0000000000000002, R=10.0)

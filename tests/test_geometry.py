@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,19 @@ class TestVectorized:
         got = return_positions(0.0, [0.0, 0.0], [1.0, 2.0 * m], v, R)
         assert math.isfinite(got[0])
         assert got[1] == INFEASIBLE
+
+    def test_far_out_of_band_rows_raise_no_overflow(self):
+        # 1e200 squares to inf; the band clamp keeps numpy quiet and the
+        # in-band rows unchanged
+        xs, ys = [0.0, 1.0, 2.0], [1e200, 3.0, -1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            es, ls, er, lr, band = window_arrays(xs, ys, 2.0, 10.0)
+            got = return_positions(0.0, xs, ys, 2.0, 10.0)
+        assert band.tolist() == [False, True, False]
+        assert (ls - es).tolist()[::2] == [0.0, 0.0]
+        assert got[0] == got[2] == INFEASIBLE
+        assert got[1] == return_position(0.0, (1.0, 3.0), 2.0, 10.0)
 
     def test_infinite_launch_passes_through(self):
         got = return_positions(np.array([np.inf, 0.0]), 5.0, 3.0, 2.0, 10.0)

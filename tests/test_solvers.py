@@ -3,12 +3,14 @@
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from truckdrone import solvers
 from truckdrone.generators import gen_greedy_tightness, gen_random_band, gen_random_proper
 from truckdrone.geometry import _land, return_positions, start_window, window_arrays
 from truckdrone.model import (
@@ -20,7 +22,7 @@ from truckdrone.model import (
     schedule_completion,
     verify_schedule,
 )
-from truckdrone.proper import NotProperError
+from truckdrone.proper import NotProperError, check_proper
 from truckdrone.solvers import (
     GREEDY_TIE_TOL,
     BudgetError,
@@ -417,6 +419,119 @@ class TestExact:
     def test_deterministic(self):
         inst = gen_random_band(7, v=2.0, R=10.0, x_span=50.0, seed=3)
         assert solve_exact(inst) == solve_exact(inst)
+
+
+def test_far_out_of_band_points_raise_no_warning():
+    # heights whose squares overflow; each library call still runs clean
+    inst = Instance(2.0, 10.0, [(1.0, 1e200), (5.0, 2.0), (9.0, -1e300), (6.0, -3.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scheds = [solve_greedy(inst), solve_dp_proper(inst, require_proper=False),
+                  solve_exact(inst)]
+        for sched in scheds:
+            assert verify_schedule(inst, sched).feasible
+        assert not check_proper(inst).is_proper
+    assert {s.count for s in scheds} == {2}
+
+
+def _reference_solve_exact(inst, max_points=10):
+    """Reference search: the DFS with a shared used list, prefix list and
+    nonlocal best that solve_exact replaced.  Lands through the name
+    solvers.return_position, as solve_exact does."""
+    n = len(inst.points)
+    if n > max_points:
+        raise BudgetError(f"instance has {n} points, budget is {max_points}")
+    windows = [start_window(p, inst.v, inst.R) for p in inst.points]
+
+    best_order: tuple[int, ...] = ()
+    best_len = 0
+    best_completion = inst.truck_start
+
+    used = [False] * n
+    prefix: list[int] = []
+
+    def dfs(cur: float) -> None:
+        nonlocal best_order, best_len, best_completion
+        if len(prefix) > best_len or (len(prefix) == best_len and cur < best_completion):
+            best_len = len(prefix)
+            best_completion = cur
+            best_order = tuple(prefix)
+        startable = sum(
+            1 for i in range(n)
+            if not used[i] and windows[i] is not None and cur <= windows[i].ls
+        )
+        if len(prefix) + startable < best_len:
+            return
+        for i in range(n):
+            if used[i] or windows[i] is None:
+                continue
+            start = max(cur, windows[i].es)
+            if start > windows[i].ls:
+                continue
+            used[i] = True
+            prefix.append(i)
+            dfs(solvers.return_position(start, inst.points[i], inst.v, inst.R))
+            prefix.pop()
+            used[i] = False
+
+    dfs(inst.truck_start)
+    sched = earliest_start_pack(inst, best_order)
+    assert sched is not None
+    return sched
+
+
+def _recorded(search, inst):
+    """search's schedule and the arguments of every landing its DFS makes."""
+    calls = []
+
+    def landing(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = solvers.return_position
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "return_position", landing)
+        sched = search(inst)
+    return sched, calls
+
+
+class TestExactMatchesReference:
+    """The stateless recursion visits what the shared-state DFS visited."""
+
+    @settings(max_examples=300)
+    @given(
+        v=st.sampled_from([1.05, 1.5, 2.0, 4.0]),
+        R=st.sampled_from([0.5, 6.0, 10.0, 100.0]),
+        n=st.integers(0, 10),
+        seed=st.integers(0, 10_000),
+        family=st.sampled_from(["band", "dense", "proper", "lifted"]),
+        T=st.sampled_from([0.0, 1e6]),
+    )
+    def test_same_schedule_and_landings(self, v, R, n, seed, family, T):
+        if family == "proper":
+            inst = gen_random_proper(n, v, R, seed=seed)
+        else:
+            span = 1.0 * R if family == "dense" else 4.0 * R
+            inst = gen_random_band(n, v, R, x_span=span, seed=seed)
+            if family == "lifted":
+                inst = _edge_and_lifted(inst)
+        inst = _shifted(inst, T)
+        got, got_calls = _recorded(solve_exact, inst)
+        want, want_calls = _recorded(_reference_solve_exact, inst)
+        assert got == want
+        assert got_calls == want_calls
+
+    def test_tightness_trap_and_crossing(self):
+        for inst in (gen_greedy_tightness(5, 2.0, 10.0)[0], crossing_instance()):
+            got, got_calls = _recorded(solve_exact, inst)
+            want, want_calls = _recorded(_reference_solve_exact, inst)
+            assert got == want and got_calls == want_calls and got_calls
+
+    def test_budget_refused_the_same(self):
+        inst = gen_random_band(5, 2.0, 10.0, x_span=20.0, seed=2)
+        for search in (solve_exact, _reference_solve_exact):
+            with pytest.raises(BudgetError, match="instance has 5 points, budget is 4"):
+                search(inst, max_points=4)
 
 
 class TestDpTable:
