@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from truckdrone.cli import instance_to_json, load_instance
 from truckdrone.geometry import INFEASIBLE, _land, return_position, start_window
 from truckdrone.model import (
     DUPLICATE_POINT,
@@ -177,6 +178,57 @@ class TestInstance:
         inst = Instance(v=2.0, R=10.0, points=[(500.0, 1.0)], truck_start=-3.0)
         assert instance_scale(inst) == 500.0
         assert instance_scale(Instance(v=2.0, R=0.5)) == 1.0
+
+
+def _three_kinds(tmp_path, pairs, truck_start=0.0):
+    """One instance built from pairs, from DeliveryPoints, and read back from a file."""
+    from_pairs = Instance(2.0, 10.0, pairs, truck_start=truck_start)
+    from_points = Instance(2.0, 10.0, tuple(DeliveryPoint(*p) for p in pairs),
+                           truck_start=truck_start)
+    path = tmp_path / f"inst-{len(pairs)}.json"
+    path.write_text(instance_to_json(from_pairs))
+    return from_pairs, from_points, load_instance(str(path))
+
+
+class TestInstanceIdentity:
+    """Equality, hash and repr are those of the frozen dataclass of
+    (v, R, points, truck_start), whichever way the instance was built."""
+
+    @pytest.mark.parametrize("pairs", [[], [(1.0, 2.0)], [(-0.0, 3.0), (1e300, -5e-324)]])
+    def test_three_kinds_agree(self, tmp_path, pairs):
+        kinds = _three_kinds(tmp_path, pairs, truck_start=-1.5)
+        key = (2.0, 10.0, tuple(DeliveryPoint(*p) for p in pairs), -1.5)
+        for inst in kinds:
+            assert inst == kinds[0] and not inst != kinds[0]
+            assert hash(inst) == hash(key)
+            assert repr(inst) == repr(kinds[0])
+        assert len({*kinds}) == 1
+
+    def test_repr_text(self):
+        assert repr(Instance(2.0, 10.0)) == "Instance(v=2.0, R=10.0, points=(), truck_start=0.0)"
+        assert repr(Instance(3, 1, [(-0.0, 2)], truck_start=-0.0)) == (
+            "Instance(v=3.0, R=1.0, points=(DeliveryPoint(x=-0.0, y=2.0),), truck_start=-0.0)")
+
+    def test_signed_zeros_are_equal_with_distinct_reprs(self, tmp_path):
+        pos = _three_kinds(tmp_path, [(0.0, 1.0)], truck_start=0.0)
+        neg = _three_kinds(tmp_path, [(-0.0, 1.0)], truck_start=-0.0)
+        for a, b in zip(pos, neg):
+            assert a == b and hash(a) == hash(b)
+            assert repr(a) != repr(b)
+
+    @pytest.mark.parametrize("other", [
+        Instance(2.5, 10.0, [(1.0, 2.0)]), Instance(2.0, 11.0, [(1.0, 2.0)]),
+        Instance(2.0, 10.0, [(1.0, 2.0)], truck_start=1.0), Instance(2.0, 10.0),
+        Instance(2.0, 10.0, [(1.0, -2.0)]), Instance(2.0, 10.0, [(1.0, 2.0), (1.0, 2.0)]),
+    ])
+    def test_any_field_tells_instances_apart(self, other):
+        inst = Instance(2.0, 10.0, [(1.0, 2.0)])
+        assert inst != other and not inst == other
+
+    def test_not_equal_to_other_types(self):
+        inst = Instance(2.0, 10.0, [(1.0, 2.0)])
+        assert inst != (2.0, 10.0, (DeliveryPoint(1.0, 2.0),), 0.0)
+        assert inst != "Instance" and inst is not None
 
 
 class TestVerifySchedule:
