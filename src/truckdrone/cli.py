@@ -48,6 +48,7 @@ class CliError(Exception):
 # _emit's types; any other value is written as the first it is an instance of
 _KINDS = (float, dict, list, tuple, str, bool, int, type(None))
 _quote = json.encoder.encode_basestring_ascii  # what json.dumps does with a str
+_XY = {"x", "y"}  # the fields of an instance file's point
 
 
 def _emit(value, pad: str = "") -> str:
@@ -135,12 +136,19 @@ def load_instance(path: str) -> Instance:
     v = _need_number(data, "v", path)
     R = _need_number(data, "R", path)
     s0 = _need_number(data, "truck_start", path) if "truck_start" in data else 0.0
-    if not isinstance(data["points"], list):
+    if not isinstance(entries := data["points"], list):
         raise CliError(f"{path}: 'points' must be an array")
+    if all(type(e) is dict and e.keys() == _XY for e in entries):  # the column fast path
+        xs, ys = [e["x"] for e in entries], [e["y"] for e in entries]
+        if {*map(type, xs), *map(type, ys)} <= {float, int}:
+            try:
+                return Instance._from_columns(v, R, xs, ys, truck_start=s0)
+            except (ValueError, OverflowError):  # the latter: an int past float range
+                pass  # the checks below name the first bad field, in file order
     pts = []
-    for i, entry in enumerate(data["points"]):
+    for i, entry in enumerate(entries):
         where = f"{path}: points[{i}]"
-        _need_keys(entry, {"x", "y"}, {"x", "y"}, where)
+        _need_keys(entry, _XY, _XY, where)
         x = _need_number(entry, "x", where)
         y = _need_number(entry, "y", where)
         try:
@@ -176,23 +184,24 @@ def load_schedule(path: str) -> Schedule:
     return Schedule(tuple(entries))
 
 
+def _entries(texts: list[str]) -> str:
+    """The list of an instance's or a schedule's entries, written one f-string
+    each, in the bytes of emit_json; .17g writes -0.0 as -0."""
+    body = ",\n".join(texts).replace(": -0,", ": -0.0,").replace(": -0\n", ": -0.0\n")
+    return f"[\n{body}\n  ]" if texts else "[]"
+
+
 def instance_to_json(inst: Instance) -> str:
-    return emit_json({
-        "v": inst.v,
-        "R": inst.R,
-        "truck_start": inst.truck_start,
-        "points": [{"x": p.x, "y": p.y} for p in inst.points],
-    })
+    points = _entries([f'    {{\n      "x": {x:.17g},\n      "y": {y:.17g}\n    }}'
+                       for x, y in zip(inst.xs.tolist(), inst.ys.tolist())])
+    return (f'{{\n  "v": {_emit(inst.v)},\n  "R": {_emit(inst.R)},\n'
+            f'  "truck_start": {_emit(inst.truck_start)},\n  "points": {points}\n}}\n')
 
 
 def schedule_to_json(sched: Schedule) -> str:
-    return emit_json({
-        "deliveries": [
-            {"point": d.point, "start": d.start, "return": d.ret}
-            for d in sched.deliveries
-        ],
-        "count": sched.count,
-    })
+    deliveries = _entries([f'    {{\n      "point": {d.point},\n      "start": {d.start:.17g},'
+                           f'\n      "return": {d.ret:.17g}\n    }}' for d in sched.deliveries])
+    return f'{{\n  "deliveries": {deliveries},\n  "count": {sched.count}\n}}\n'
 
 
 # --- commands ---------------------------------------------------------------

@@ -99,14 +99,14 @@ def gen_random_band(n: int, v: float, R: float, x_span: float, seed: int) -> Ins
         raise ValueError("need n >= 0 and x_span >= 0")
     m = reach_envelope(v, R).minor_radius
     rng = random.Random(seed)
-    pts = []
+    xs, ys = [], []
     for _ in range(n):
-        x = rng.uniform(0.0, x_span)
+        xs.append(rng.uniform(0.0, x_span))
         y = rng.uniform(-m, m)
         while abs(y) < 1e-6 * m:
             y = rng.uniform(-m, m)
-        pts.append((x, y))
-    return Instance(v, R, tuple(pts), truck_start=0.0)
+        ys.append(y)
+    return Instance._from_columns(v, R, xs, ys, truck_start=0.0)
 
 
 # margin at which gen_random_proper rejects a candidate, well above the
@@ -157,7 +157,7 @@ def gen_random_proper(n: int, v: float, R: float, seed: int) -> Instance:
             rejections += 1
             if rejections > _MAX_REJECTIONS:
                 raise GenerationError(f"gave up after {_MAX_REJECTIONS} rejected candidates")
-    inst = Instance(v, R, tuple(zip(xs.tolist(), ys.tolist())), truck_start=0.0)
+    inst = Instance._from_columns(v, R, xs, ys, truck_start=0.0)
     if not check_proper(inst).is_proper:
         raise GenerationError("sampled instance failed the properness check")
     return inst

@@ -9,7 +9,8 @@ derived, never trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,31 +50,64 @@ class DeliveryPoint:
             raise ValueError("delivery points must lie off the truck's axis")
 
 
-@dataclass(frozen=True)
 class Instance:
-    """Immutable problem input; points keep their given order."""
+    """Immutable problem input; points keep their given order.
 
-    v: float
-    R: float
-    points: tuple[DeliveryPoint, ...] = ()
-    truck_start: float = 0.0
+    The coordinates are the read-only float64 columns `xs` and `ys`;
+    `points` holds them as DeliveryPoints, built on first use.  Equality,
+    hash and repr are those of the record (v, R, points, truck_start).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", float(self.v))
-        object.__setattr__(self, "R", float(self.R))
-        object.__setattr__(self, "truck_start", float(self.truck_start))
-        for name in ("v", "R", "truck_start"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        _check_params(self.v, self.R)
-        pts = tuple(
-            p if isinstance(p, DeliveryPoint) else DeliveryPoint(*p)
-            for p in self.points
-        )
-        object.__setattr__(self, "points", pts)
+    def __init__(self, v: float, R: float, points=(), truck_start: float = 0.0):
+        pts = [p if isinstance(p, DeliveryPoint) else DeliveryPoint(*p) for p in points]
+        self._set(v, R, truck_start, [p.x for p in pts], [p.y for p in pts])
+
+    @classmethod
+    def _from_columns(cls, v: float, R: float, xs, ys, truck_start: float = 0.0) -> Instance:
+        """Instance(v, R, zip(xs, ys), truck_start) without building DeliveryPoints."""
+        inst = cls.__new__(cls)
+        inst._set(v, R, truck_start, xs, ys)
+        return inst
+
+    def _set(self, v, R, truck_start, xs, ys) -> None:
+        fields = {"v": float(v), "R": float(R), "truck_start": float(truck_start)}
+        for name, value in fields.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        _check_params(fields["v"], fields["R"])
+        xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all() and ys.all()):
+            tuple(map(DeliveryPoint, xs.tolist(), ys.tolist()))  # names the first bad point
+        xs.flags.writeable = ys.flags.writeable = False
+        self.__dict__.update(fields, xs=xs, ys=ys)
+
+    @cached_property
+    def points(self) -> tuple[DeliveryPoint, ...]:
+        return tuple(map(DeliveryPoint, self.xs.tolist(), self.ys.tolist()))
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _record(self) -> tuple:
+        # a DeliveryPoint compares and hashes as its (x, y) tuple
+        return self.v, self.R, tuple(zip(self.xs.tolist(), self.ys.tolist())), self.truck_start
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._record() == other._record()
+
+    def __hash__(self) -> int:
+        return hash(self._record())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(v={self.v!r}, R={self.R!r}, "
+                f"points={self.points!r}, truck_start={self.truck_start!r})")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
 
 @dataclass(frozen=True)
@@ -108,18 +142,9 @@ class FeasibilityReport:
     completion: float
 
 
-def _coords(inst: Instance) -> np.ndarray:
-    """x and y of every point, the rows of a 2 x n array."""
-    return np.array([[p.x for p in inst.points], [p.y for p in inst.points]]).reshape(2, -1)
-
-
-def _scale(inst: Instance, xs: np.ndarray, ys: np.ndarray) -> float:
-    return float(np.abs(np.concatenate(([1.0, inst.R, inst.truck_start], xs, ys))).max())
-
-
 def instance_scale(inst: Instance) -> float:
     """Magnitude that turns verify_schedule's relative tolerance into an absolute one."""
-    return _scale(inst, *_coords(inst))
+    return float(np.abs(np.concatenate(([1.0, inst.R, inst.truck_start], inst.xs, inst.ys))).max())
 
 
 def _check_tol(tol: float) -> None:
@@ -137,7 +162,7 @@ def verify_schedule(inst: Instance, sched: Schedule, tol: float = DEFAULT_TOL) -
     raise InvalidScheduleError; a negative or non-finite tol, ValueError.
     """
     _check_tol(tol)
-    n, ds = len(inst.points), sched.deliveries
+    n, ds = len(inst), sched.deliveries
     for j, d in enumerate(ds):
         if not 0 <= d.point < n:
             raise InvalidScheduleError(
@@ -147,9 +172,8 @@ def verify_schedule(inst: Instance, sched: Schedule, tol: float = DEFAULT_TOL) -
             raise InvalidScheduleError(f"entry {j} launches at NaN")
     idx = np.fromiter((d.point for d in ds), np.intp, len(ds))
     starts = np.fromiter((d.start for d in ds), float, len(ds))
-    xs, ys = _coords(inst)
-    slack = tol * _scale(inst, xs, ys)
-    xs, ys = xs[idx], ys[idx]
+    slack = tol * instance_scale(inst)
+    xs, ys = inst.xs[idx], inst.ys[idx]
     windows = es, ls, er, lr, in_band = window_arrays(xs, ys, inst.v, inst.R)
     # a start within tolerance past the window still lands from ls
     ret = return_positions(np.minimum(starts, ls), xs, ys, inst.v, inst.R, windows)
@@ -186,7 +210,7 @@ def earliest_start_pack(inst: Instance, order) -> Schedule | None:
     window opening.  Returns None when some point's window has already
     closed by then (or is out of reach entirely).
     """
-    n = len(inst.points)
+    n = len(inst)
     seen: set[int] = set()
     for idx in order:
         if not 0 <= idx < n:
@@ -197,10 +221,11 @@ def earliest_start_pack(inst: Instance, order) -> Schedule | None:
     entries: list[Delivery] = []
     cur = inst.truck_start
     for idx in order:
-        w = start_window(inst.points[idx], inst.v, inst.R)
+        p = inst.xs[idx], inst.ys[idx]
+        w = start_window(p, inst.v, inst.R)
         if w is None or max(cur, w.es) > w.ls:
             return None
         start = max(cur, w.es)
-        cur = return_position(start, inst.points[idx], inst.v, inst.R)
+        cur = return_position(start, p, inst.v, inst.R)
         entries.append(Delivery(idx, start, cur))
     return Schedule(tuple(entries))

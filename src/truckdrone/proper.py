@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _half_width, _minor_radius, start_window
-from .model import DEFAULT_TOL, Instance, _check_tol, _coords
+from .model import DEFAULT_TOL, Instance, _check_tol
 
 _BLOCK = 64  # points per block of check_proper's sweep
 
@@ -105,8 +105,7 @@ def check_proper(inst: Instance, tol: float = DEFAULT_TOL) -> ProperReport:
     O(n log n + pairs in reach) time, O(n) memory beside the report.
     """
     _check_tol(tol)
-    v, R, n = inst.v, inst.R, len(inst.points)
-    xs, ys = _coords(inst)
+    v, R, n, xs, ys = inst.v, inst.R, len(inst), inst.xs, inst.ys
     in_band = np.abs(ys) <= _minor_radius(v, R)
     idx = np.flatnonzero(in_band)[np.argsort(xs[in_band])]
     X, Y = xs[idx], ys[idx]

@@ -43,8 +43,10 @@ def render_svg(inst: Instance, sched: Schedule | None = None,
     env = reach_envelope(inst.v, inst.R)
     xs = [p.x for p in inst.points] or [inst.truck_start]
     lo, hi = min(xs) - inst.R, max(xs) + inst.R
-    world_w = hi - lo
-    scale = min(WIDTH / world_w, HEIGHT / (2.0 * env.minor_radius))
+    world_w, world_h = hi - lo, 2.0 * env.minor_radius
+    if not (world_w and world_h):  # far along the road, or R near the smallest double
+        raise ValueError(f"cannot draw: the picture is {world_w} by {world_h} at double precision")
+    scale = min(WIDTH / world_w, HEIGHT / world_h)
 
     def X(wx: float) -> float:
         return (WIDTH - world_w * scale) / 2.0 + (wx - lo) * scale

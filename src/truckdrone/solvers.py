@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _land, return_position, return_positions, start_window, window_arrays
-from .model import Delivery, Instance, Schedule, _coords, earliest_start_pack
+from .model import Delivery, Instance, Schedule, earliest_start_pack
 from .proper import NotProperError, check_proper
 
 GREEDY_TIE_TOL = 1e-9
@@ -41,8 +41,8 @@ def solve_greedy(inst: Instance) -> Schedule:
     Among landings within GREEDY_TIE_TOL * R of the earliest, the leftmost
     point wins, then the lowest index.
     """
-    v, xs, ys = inst.v, [p.x for p in inst.points], [p.y for p in inst.points]
-    es, ls, er, _, in_band = (w.tolist() for w in window_arrays(xs, ys, v, inst.R))
+    v, xs, ys = inst.v, inst.xs.tolist(), inst.ys.tolist()
+    es, ls, er, _, in_band = (w.tolist() for w in window_arrays(inst.xs, inst.ys, v, inst.R))
     order = sorted((i for i, ok in enumerate(in_band) if ok), key=es.__getitem__)
     # a flight from dx = s - x lasts at least 2|y|/sqrt(v^2 - 1), 2dx/(v - 1)
     # behind the point and -2dx/(v + 1) ahead of it; the slack covers the
@@ -125,9 +125,9 @@ def dp_table(inst: Instance) -> DpTable:
     the temporaries stay cache-sized and the cost per cell does not depend
     on n: the growth stays cubic, as the paper's algorithm is.
     """
-    n = len(inst.points)
-    ranks = tuple(sorted(range(n), key=lambda i: (inst.points[i].x, inst.points[i].y, i)))
-    xs, ys = (c[list(ranks)] for c in _coords(inst))
+    n = len(inst)
+    order = np.lexsort((inst.ys, inst.xs))  # stable, so ties keep index order
+    ranks, xs, ys = tuple(order.tolist()), inst.xs[order], inst.ys[order]
     windows = window_arrays(xs, ys, inst.v, inst.R)
 
     rows: list[np.ndarray] = []
@@ -199,7 +199,7 @@ def solve_exact(inst: Instance, max_points: int = 10) -> Schedule:
     the earliest completion wins, then the lexicographically smallest
     order.  Refuses instances larger than max_points.
     """
-    n = len(inst.points)
+    n = len(inst)
     if n > max_points:
         raise BudgetError(f"instance has {n} points, budget is {max_points}")
     windows = [start_window(p, inst.v, inst.R) for p in inst.points]

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -429,6 +430,19 @@ class TestRender:
         assert "<polyline" not in res.stdout
         assert res.stdout.count("<circle") == 6
 
+    @pytest.mark.parametrize("doc", [
+        # min(x) - R and max(x) + R round to one double: no width
+        {"v": 2, "R": 1e-6, "points": [{"x": 1e12, "y": 1e-7}]},
+        # the band's half-height R/(2v)*sqrt(v^2 - 1) rounds to 0: no height
+        {"v": 2, "R": 5e-324, "points": []},
+    ])
+    def test_picture_without_area_exits_2(self, tmp_path, doc):
+        inst = tmp_path / "flat.json"
+        inst.write_text(json.dumps(doc))
+        assert run_cli("solve", "--algo", "greedy", "--input", str(inst)).returncode == 0
+        assert_usage_error(run_cli("render", "--instance", str(inst)),
+                           "cannot draw", "at double precision")
+
     def test_empty_instance_render(self, tmp_path):
         # the world box falls back to the truck's own reach
         inst = tmp_path / "empty.json"
@@ -442,7 +456,8 @@ class TestRender:
 # floats as drawn, plus the awkward ones: signed zeros, subnormals, the
 # largest double, and values far along the road
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                1.7976931348623157e308, -1.7976931348623157e308, 1e7 + 0.1, 1e16 + 2.0]
+                1.7976931348623157e308, -1.7976931348623157e308, 1e7 + 0.1, 1e16 + 2.0,
+                1.0, -3.0, 2.0**53 + 2.0]
 _FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from(_EDGE_FLOATS))
 
@@ -473,6 +488,37 @@ def _schedules(draw):
 
 
 class TestJsonRoundTripProperties:
+    @settings(max_examples=200)
+    @given(inst=_instances())
+    def test_instance_writer_equals_emit_json(self, inst):
+        assert instance_to_json(inst) == emit_json({
+            "v": inst.v, "R": inst.R, "truck_start": inst.truck_start,
+            "points": [{"x": p.x, "y": p.y} for p in inst.points]})
+
+    @settings(max_examples=200)
+    @given(sched=_schedules())
+    def test_schedule_writer_equals_emit_json(self, sched):
+        assert schedule_to_json(sched) == emit_json({
+            "deliveries": [{"point": d.point, "start": d.start, "return": d.ret}
+                           for d in sched.deliveries],
+            "count": sched.count})
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_written_documents_reload_to_their_bytes(self, tmp_path_factory, data):
+        # the file is written by emit_json, not by the writer under test
+        n = data.draw(st.integers(0, 12))
+        doc = {"v": data.draw(st.sampled_from([1.5, 2.0, 1.7976931348623157e308])),
+               "R": data.draw(st.sampled_from([5e-324, 10.0])),
+               "truck_start": data.draw(_FLOATS),
+               "points": [{"x": data.draw(_FLOATS),
+                           "y": data.draw(_FLOATS.filter(lambda y: y != 0.0))}
+                          for _ in range(n)]}
+        text = emit_json(doc)
+        path = tmp_path_factory.mktemp("instance") / "inst.json"
+        path.write_text(text)
+        assert instance_to_json(load_instance(str(path))) == text
+
     @settings(max_examples=200)
     @given(inst=_instances())
     def test_instance_json_round_trips_bytes(self, tmp_path_factory, inst):
@@ -717,3 +763,71 @@ class TestReaderErrors:
         doc = copy.deepcopy(_GOOD_SCHEDULE)
         edit(doc)
         assert _reader_error(tmp_path, load_schedule, doc) == message
+
+
+def _per_entry_only():
+    """Within it, load_instance's column fast path always fails, so every
+    file is read by the per-entry checks alone."""
+    return mock.patch.object(Instance, "_from_columns", side_effect=ValueError)
+
+
+# numbers that both paths read: ints and floats, past 2**53 and int64, -0.0
+_FILE_NUMBERS = st.one_of(_FLOATS, st.integers(-2**70, 2**70),
+                          st.sampled_from([10**308, -(2**64) - 1, 2**53 + 1]))
+
+
+class TestLoaderPaths:
+    """The column fast path and the per-entry checks read every file alike."""
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_paths_give_equal_instances(self, tmp_path_factory, data):
+        n = data.draw(st.integers(0, 12))
+        doc = {"v": 2.0, "R": 10.0, "truck_start": data.draw(_FLOATS),
+               "points": [{"x": data.draw(_FILE_NUMBERS),
+                           "y": data.draw(_FILE_NUMBERS.filter(lambda y: y != 0))}
+                          for _ in range(n)]}
+        path = tmp_path_factory.mktemp("instance") / "inst.json"
+        path.write_text(json.dumps(doc))
+        fast = load_instance(str(path))
+        with _per_entry_only():
+            slow = load_instance(str(path))
+        assert fast == slow and repr(fast) == repr(slow)
+        assert fast.xs.tobytes() == slow.xs.tobytes() and fast.ys.tobytes() == slow.ys.tobytes()
+
+    # one entry of each irregular kind
+    IRREGULAR = {
+        "bool": {"x": True, "y": 1.0},
+        "str": {"x": 1.0, "y": "2.0"},
+        "null": {"x": None, "y": 1.0},
+        "int past float range": {"x": 1.0, "y": 10**400},
+        "missing key": {"x": 1.0},
+        "extra key": {"x": 1.0, "y": 1.0, "z": 0.0},
+        "non-dict": [1.0, 1.0],
+        "NaN literal": {"x": math.nan, "y": 1.0},
+        "Infinity literal": {"x": 1.0, "y": -math.inf},
+        "y = 0": {"x": 1.0, "y": 0.0},
+        "y = -0.0": {"x": 1.0, "y": -0.0},
+    }
+
+    @pytest.mark.parametrize("speed", [2.0, 0.5])
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    @pytest.mark.parametrize("kind", sorted(IRREGULAR))
+    def test_irregular_entry_gives_the_per_entry_error(self, tmp_path, kind, position, speed):
+        points = [{"x": float(i), "y": 1.0 + i} for i in range(7)]
+        points[position] = self.IRREGULAR[kind]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"v": speed, "R": 10.0, "points": points}))
+        code, err = _run_main("check-proper", "--input", str(path))
+        with _per_entry_only():
+            assert (code, err) == _run_main("check-proper", "--input", str(path))
+        assert code == 2 and err.startswith(f"error: {path}: points[{position}]: ")
+
+    @pytest.mark.parametrize("field, value", [("v", 1.0), ("R", 0.0), ("R", -5e-324)])
+    def test_bad_parameter_with_regular_entries(self, tmp_path, field, value):
+        doc = copy.deepcopy(_GOOD_INSTANCE)
+        doc[field] = value
+        message = _reader_error(tmp_path, load_instance, doc)
+        with _per_entry_only():
+            assert _reader_error(tmp_path, load_instance, doc) == message
+        assert message.startswith("FILE: ") and "points[" not in message
