@@ -194,8 +194,8 @@ def _three_kinds(tmp_path, pairs, truck_start=0.0):
 
 
 class TestInstanceIdentity:
-    """Equality, hash and repr are those of the frozen dataclass of
-    (v, R, points, truck_start), whichever way the instance was built."""
+    """Equality, hash and repr are those of the record (v, R, points,
+    truck_start), whichever way the instance was built."""
 
     @pytest.mark.parametrize("pairs", [[], [(1.0, 2.0)], [(-0.0, 3.0), (1e300, -5e-324)]])
     def test_three_kinds_agree(self, tmp_path, pairs):
