@@ -27,7 +27,6 @@ from .generators import (
 )
 from .model import (
     DEFAULT_TOL,
-    Delivery,
     DeliveryPoint,
     Instance,
     Schedule,
@@ -171,17 +170,17 @@ def load_schedule(path: str) -> Schedule:
         raise CliError(f"{path}: 'count' must be an integer")
     if count != len(data["deliveries"]):
         raise CliError(f"{path}: count={count} but {len(data['deliveries'])} deliveries")
-    entries = []
+    order, starts, rets = [], [], []
     for j, entry in enumerate(data["deliveries"]):
         where = f"{path}: deliveries[{j}]"
         _need_keys(entry, {"point", "start", "return"}, {"point", "start", "return"}, where)
         point = entry["point"]
         if isinstance(point, bool) or not isinstance(point, int) or point < 0:
             raise CliError(f"{where}: 'point' must be a nonnegative integer")
-        start = _need_number(entry, "start", where)
-        ret = _need_number(entry, "return", where)
-        entries.append(Delivery(point, start, ret))
-    return Schedule(tuple(entries))
+        order.append(point)
+        starts.append(_need_number(entry, "start", where))
+        rets.append(_need_number(entry, "return", where))
+    return Schedule._from_columns(order, starts, rets)
 
 
 def _entries(texts: list[str]) -> str:
@@ -199,8 +198,9 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def schedule_to_json(sched: Schedule) -> str:
-    deliveries = _entries([f'    {{\n      "point": {d.point},\n      "start": {d.start:.17g},'
-                           f'\n      "return": {d.ret:.17g}\n    }}' for d in sched.deliveries])
+    deliveries = _entries([f'    {{\n      "point": {i},\n      "start": {start:.17g},'
+                           f'\n      "return": {ret:.17g}\n    }}'
+                           for i, start, ret in zip(sched.order, sched.starts, sched.rets)])
     return f'{{\n  "deliveries": {deliveries},\n  "count": {sched.count}\n}}\n'
 
 

@@ -50,7 +50,25 @@ class DeliveryPoint:
             raise ValueError("delivery points must lie off the truck's axis")
 
 
-class Instance:
+class _Record:
+    """Frozen, and equal and hashed as the tuple `_record()`, as the frozen
+    dataclass of that record would be; subclasses hold their fields as columns."""
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._record() == other._record()
+
+    def __hash__(self) -> int:
+        return hash(self._record())
+
+
+class Instance(_Record):
     """Immutable problem input; points keep their given order.
 
     The coordinates are the read-only float64 columns `xs` and `ys`;
@@ -85,22 +103,9 @@ class Instance:
     def points(self) -> tuple[DeliveryPoint, ...]:
         return tuple(map(DeliveryPoint, self.xs.tolist(), self.ys.tolist()))
 
-    def __setattr__(self, name, value=None):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
     def _record(self) -> tuple:
         # a DeliveryPoint compares and hashes as its (x, y) tuple
         return self.v, self.R, tuple(zip(self.xs.tolist(), self.ys.tolist())), self.truck_start
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._record() == other._record()
-
-    def __hash__(self) -> int:
-        return hash(self._record())
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(v={self.v!r}, R={self.R!r}, "
@@ -119,20 +124,38 @@ class Delivery:
     ret: float
 
 
-@dataclass(frozen=True)
-class Schedule:
-    deliveries: tuple[Delivery, ...] = ()
+class Schedule(_Record):
+    """Immutable ordered deliveries, held as the tuples `order` (point indices),
+    `starts` and `rets`; `deliveries` holds them as Delivery records, built on
+    first use.  Equality, hash and repr are those of the record (deliveries,).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "deliveries", tuple(self.deliveries))
+    def __init__(self, deliveries=()):
+        ds = tuple(deliveries)
+        self.__dict__.update(order=tuple(d.point for d in ds), starts=tuple(d.start for d in ds),
+                             rets=tuple(d.ret for d in ds), deliveries=ds)
+
+    @classmethod
+    def _from_columns(cls, order, starts, rets) -> Schedule:
+        """Schedule(map(Delivery, order, starts, rets)) without building Deliveries."""
+        sched = cls.__new__(cls)
+        sched.__dict__.update(order=tuple(order), starts=tuple(starts), rets=tuple(rets))
+        return sched
+
+    @cached_property
+    def deliveries(self) -> tuple[Delivery, ...]:
+        return tuple(map(Delivery, self.order, self.starts, self.rets))
+
+    def _record(self) -> tuple:
+        # a Delivery compares and hashes as its (point, start, ret) tuple
+        return (tuple(zip(self.order, self.starts, self.rets)),)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(deliveries={self.deliveries!r})"
 
     @property
     def count(self) -> int:
-        return len(self.deliveries)
-
-    @property
-    def order(self) -> tuple[int, ...]:
-        return tuple(d.point for d in self.deliveries)
+        return len(self.order)
 
 
 @dataclass(frozen=True)
@@ -162,16 +185,18 @@ def verify_schedule(inst: Instance, sched: Schedule, tol: float = DEFAULT_TOL) -
     raise InvalidScheduleError; a negative or non-finite tol, ValueError.
     """
     _check_tol(tol)
-    n, ds = len(inst), sched.deliveries
-    for j, d in enumerate(ds):
-        if not 0 <= d.point < n:
-            raise InvalidScheduleError(
-                f"entry {j} references point {d.point} of an instance with {n} points"
-            )
-        if math.isnan(d.start):
-            raise InvalidScheduleError(f"entry {j} launches at NaN")
-    idx = np.fromiter((d.point for d in ds), np.intp, len(ds))
-    starts = np.fromiter((d.start for d in ds), float, len(ds))
+    n, order = len(inst), sched.order
+    # the range is checked on the tuple, as an index past int64 would not convert
+    if ((order and not 0 <= min(order) <= max(order) < n)
+            or np.isnan(starts := np.array(sched.starts, dtype=float)).any()):
+        for j, (i, start) in enumerate(zip(order, sched.starts)):  # name the first bad entry
+            if not 0 <= i < n:
+                raise InvalidScheduleError(
+                    f"entry {j} references point {i} of an instance with {n} points"
+                )
+            if math.isnan(start):
+                raise InvalidScheduleError(f"entry {j} launches at NaN")
+    idx = np.array(order, dtype=np.intp)
     slack = tol * instance_scale(inst)
     xs, ys = inst.xs[idx], inst.ys[idx]
     windows = es, ls, er, lr, in_band = window_arrays(xs, ys, inst.v, inst.R)
@@ -180,8 +205,10 @@ def verify_schedule(inst: Instance, sched: Schedule, tol: float = DEFAULT_TOL) -
     late = ~in_band | (starts > ls + slack)
     ret[late] = INFEASIBLE
     early = starts < np.concatenate(([inst.truck_start], ret[:-1])) - slack
-    seen: set[int] = set()  # set.add returns None, so only repeats read True
-    dup = np.array([d.point in seen or seen.add(d.point) for d in ds], dtype=bool)
+    dup = np.zeros(len(order), dtype=bool)
+    if len(set(order)) < len(order):
+        seen: set[int] = set()  # set.add returns None, so only repeats read True
+        dup[:] = [i in seen or seen.add(i) for i in order]
     violations: list[tuple[int, str]] = []
     for j in np.flatnonzero(dup | early | late).tolist():
         if dup[j]:
@@ -190,7 +217,7 @@ def verify_schedule(inst: Instance, sched: Schedule, tol: float = DEFAULT_TOL) -
             violations.append((j, OVERLAP_PREVIOUS if j else START_BEFORE_TRUCK))
         if late[j]:
             violations.append((j, START_AFTER_WINDOW if in_band[j] else OUT_OF_BAND))
-    completion = float(ret[-1]) if ds else inst.truck_start  # a Python float, like the start
+    completion = float(ret[-1]) if order else inst.truck_start  # a Python float, like the start
     return FeasibilityReport(not violations, tuple(violations), completion)
 
 
@@ -218,14 +245,14 @@ def earliest_start_pack(inst: Instance, order) -> Schedule | None:
         if idx in seen:
             raise InvalidScheduleError(f"order repeats point {idx}")
         seen.add(idx)
-    entries: list[Delivery] = []
+    starts, rets = [], []
     cur = inst.truck_start
     for idx in order:
         p = inst.xs[idx], inst.ys[idx]
         w = start_window(p, inst.v, inst.R)
         if w is None or max(cur, w.es) > w.ls:
             return None
-        start = max(cur, w.es)
-        cur = return_position(start, p, inst.v, inst.R)
-        entries.append(Delivery(idx, start, cur))
-    return Schedule(tuple(entries))
+        starts.append(max(cur, w.es))
+        cur = return_position(starts[-1], p, inst.v, inst.R)
+        rets.append(cur)
+    return Schedule._from_columns(order, starts, rets)

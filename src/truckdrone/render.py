@@ -7,6 +7,8 @@ byte-identical files.
 
 from __future__ import annotations
 
+import math
+
 from .geometry import reach_envelope, start_window
 from .model import Instance, Schedule
 
@@ -44,9 +46,10 @@ def render_svg(inst: Instance, sched: Schedule | None = None,
     xs = [p.x for p in inst.points] or [inst.truck_start]
     lo, hi = min(xs) - inst.R, max(xs) + inst.R
     world_w, world_h = hi - lo, 2.0 * env.minor_radius
-    if not (world_w and world_h):  # far along the road, or R near the smallest double
+    # far along the road, or R near the smallest double: no area, or an infinite scale
+    if not (world_w and world_h and math.isfinite(scale := min(WIDTH / world_w,
+                                                                HEIGHT / world_h))):
         raise ValueError(f"cannot draw: the picture is {world_w} by {world_h} at double precision")
-    scale = min(WIDTH / world_w, HEIGHT / world_h)
 
     def X(wx: float) -> float:
         return (WIDTH - world_w * scale) / 2.0 + (wx - lo) * scale

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _land, return_position, return_positions, start_window, window_arrays
-from .model import Delivery, Instance, Schedule, earliest_start_pack
+from .model import Instance, Schedule, earliest_start_pack
 from .proper import NotProperError, check_proper
 
 GREEDY_TIE_TOL = 1e-9
@@ -50,46 +50,54 @@ def solve_greedy(inst: Instance) -> Schedule:
     slack = 1.0 - 1e-12 * (v + 1.0) / (v - 1.0)
     rise, behind, ahead = (slack * c for c in (2.0 / math.sqrt(v * v - 1.0),
                                                2.0 / (v - 1.0), 2.0 / (v + 1.0)))
-    tie = GREEDY_TIE_TOL * inst.R
+    tie, half = GREEDY_TIE_TOL * inst.R, inst.R / 2.0
+    opens = [es[i] for i in order] + [math.inf]  # in admission order, then past the last
     s, admitted = inst.truck_start, 0
     live: list[tuple[float, int]] = []  # admitted, unserved points as (x, index), ascending
-    entries: list[Delivery] = []
-    while True:
-        while admitted < len(order) and es[order[admitted]] <= s:
+    picks, starts, rets = [], [], []
+    while s < math.inf:
+        while opens[admitted] <= s:
             i = order[admitted]
             insort(live, (xs[i], i))
             admitted += 1
-        del live[:bisect_left(live, (s - inst.R / 2.0, -1))]
+        if behind_s := bisect_left(live, (s - half, -1)):
+            del live[:behind_s]
         # walk out from s, lower bound first, until the bound passes the cutoff
         lo = hi = bisect_left(live, (s, -1))
-        cutoff, lands = math.inf, []
-        while lo > 0 or hi < len(live):
-            b_hi = (live[hi][0] - s) * ahead if hi < len(live) else math.inf
-            b_lo = (s - live[lo - 1][0]) * behind if lo > 0 else math.inf
-            if s + min(b_hi, b_lo) > cutoff:
-                break
+        size, cutoff, lands = len(live), math.inf, []
+        b_hi = (live[hi][0] - s) * ahead if hi < size else math.inf
+        b_lo = (s - live[lo - 1][0]) * behind if lo else math.inf
+        while lo or hi < size:
+            # only the walked side's bound moves; dropping the walked point moves neither
             if b_hi <= b_lo:
+                if s + b_hi > cutoff:
+                    break
                 k, hi = hi, hi + 1
+                b_hi = (live[hi][0] - s) * ahead if hi < size else math.inf
             else:
+                if s + b_lo > cutoff:
+                    break
                 lo = k = lo - 1
-            i = live[k][1]
+                b_lo = (s - live[lo - 1][0]) * behind if lo else math.inf
+            x, i = live[k]
             if ls[i] < s:  # closed: drop it; the walked points are live[lo:hi]
                 del live[k]
-                hi -= 1
+                hi, size = hi - 1, size - 1
             elif s + abs(ys[i]) * rise <= cutoff:
-                r = _land(s, xs[i], ys[i], es[i], er[i], v)
-                lands.append((xs[i], i, r))
-                cutoff = min(cutoff, r + tie)
-        if not lands:
-            if admitted == len(order):
-                break
-            s = es[order[admitted]]
+                r = _land(s, x, ys[i], es[i], er[i], v)
+                lands.append((x, i, r))
+                if r + tie < cutoff:
+                    cutoff = r + tie
+        if not lands:  # drive to the next opening, or past the last
+            s = opens[admitted]
             continue
         _, pick, ret = min(c for c in lands if c[2] <= cutoff)  # frees the lr list
         del live[bisect_left(live, (xs[pick], pick))]
-        entries.append(Delivery(pick, s, ret))
+        picks.append(pick)
+        starts.append(s)
+        rets.append(ret)
         s = ret
-    return Schedule(tuple(entries))
+    return Schedule._from_columns(picks, starts, rets)
 
 
 @dataclass(frozen=True)

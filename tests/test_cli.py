@@ -229,6 +229,16 @@ class TestSolveAndVerify:
         res = run_cli("verify", "--instance", str(proper_file), "--schedule", str(bad))
         assert res.returncode == 2
 
+    def test_point_index_past_int64_is_usage_error(self, tmp_path, proper_file):
+        bad = tmp_path / "bad_sched.json"
+        bad.write_text(json.dumps({
+            "deliveries": [{"point": 10**29, "start": 0.0, "return": 1.0}],
+            "count": 1,
+        }))
+        res = run_cli("verify", "--instance", str(proper_file), "--schedule", str(bad))
+        assert_usage_error(res, "entry 0 references point 100000000000000000000000000000 "
+                                "of an instance with 6 points")
+
     def test_count_mismatch_rejected(self, tmp_path, proper_file):
         bad = tmp_path / "bad_sched.json"
         bad.write_text(json.dumps({
@@ -442,6 +452,14 @@ class TestRender:
         assert run_cli("solve", "--algo", "greedy", "--input", str(inst)).returncode == 0
         assert_usage_error(run_cli("render", "--instance", str(inst)),
                            "cannot draw", "at double precision")
+
+    def test_picture_of_subnormal_size_exits_2(self, tmp_path):
+        # a picture a few subnormals wide and high has an infinite scale
+        inst = tmp_path / "tiny.json"
+        inst.write_text(json.dumps({"v": 2, "R": 1e-320, "points": [{"x": 0.0, "y": 1e-300}]}))
+        res = run_cli("render", "--instance", str(inst))
+        assert_usage_error(res, "cannot draw: the picture is 2e-320 by", "at double precision")
+        assert res.stdout == ""
 
     def test_empty_instance_render(self, tmp_path):
         # the world box falls back to the truck's own reach

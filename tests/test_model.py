@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truckdrone.cli import instance_to_json, load_instance
+from truckdrone.cli import instance_to_json, load_instance, load_schedule, schedule_to_json
 from truckdrone.generators import gen_random_band, gen_random_proper
 from truckdrone.geometry import INFEASIBLE, _land, return_position, start_window
 from truckdrone.model import (
@@ -234,6 +234,74 @@ class TestInstanceIdentity:
         assert inst != "Instance" and inst is not None
 
 
+def _three_schedules(tmp_path, inst):
+    """One schedule built by greedy, from Deliveries, and read back from a file."""
+    solved = solve_greedy(inst)
+    built = Schedule(tuple(Delivery(d.point, d.start, d.ret) for d in solved.deliveries))
+    path = tmp_path / f"sched-{solved.count}.json"
+    path.write_text(schedule_to_json(solved))
+    return solved, built, load_schedule(str(path))
+
+
+class TestScheduleIdentity:
+    """Equality, hash and repr are those of the record (deliveries,),
+    whichever way the schedule was built."""
+
+    @pytest.mark.parametrize("inst", [
+        Instance(2.0, 10.0), Instance(2.0, 10.0, [(1.0, 2.0)], truck_start=-0.0),
+        gen_random_band(30, 2.0, 10.0, 60.0, 3)])
+    def test_three_kinds_agree(self, tmp_path, inst):
+        kinds = _three_schedules(tmp_path, inst)
+        key = (tuple(Delivery(d.point, d.start, d.ret) for d in kinds[0].deliveries),)
+        assert kinds[0].count == len(key[0]) > 0 or len(inst) == 0
+        for sched in kinds:
+            assert sched == kinds[0] and not sched != kinds[0]
+            assert hash(sched) == hash(key)
+            assert repr(sched) == repr(kinds[0])
+            assert sched.order == tuple(d.point for d in key[0])
+        assert len({*kinds}) == 1
+
+    def test_repr_text(self):
+        assert repr(Schedule()) == repr(Schedule(())) == "Schedule(deliveries=())"
+        assert repr(Schedule([Delivery(0, 0, 0)])) == (
+            "Schedule(deliveries=(Delivery(point=0, start=0, ret=0),))")
+
+    def test_int_start_equals_float_start(self):
+        ints, floats = Schedule((Delivery(0, 0, 1),)), Schedule((Delivery(0, 0.0, 1.0),))
+        assert ints == floats and hash(ints) == hash(floats)
+        assert repr(ints) != repr(floats)
+
+    def test_signed_zeros_are_equal_with_distinct_reprs(self, tmp_path):
+        pos = _three_schedules(tmp_path, Instance(2.0, 10.0, [(1.0, 2.0)], truck_start=0.0))
+        neg = _three_schedules(tmp_path, Instance(2.0, 10.0, [(1.0, 2.0)], truck_start=-0.0))
+        for a, b in zip(pos, neg):
+            assert math.copysign(1.0, b.deliveries[0].start) == -1.0
+            assert a == b and hash(a) == hash(b)
+            assert repr(a) != repr(b)
+
+    @pytest.mark.parametrize("other", [
+        Schedule(), Schedule((Delivery(1, 0.5, 2.0),)), Schedule((Delivery(0, 0.25, 2.0),)),
+        Schedule((Delivery(0, 0.5, 2.5),)),
+        Schedule((Delivery(0, 0.5, 2.0), Delivery(1, 2.0, 3.0))),
+    ])
+    def test_any_field_tells_schedules_apart(self, other):
+        sched = Schedule((Delivery(0, 0.5, 2.0),))
+        assert sched != other and not sched == other
+
+    def test_not_equal_to_other_types(self):
+        sched = Schedule((Delivery(0, 0.5, 2.0),))
+        assert sched != ((Delivery(0, 0.5, 2.0),),) and sched != (Delivery(0, 0.5, 2.0),)
+        assert sched != "Schedule" and sched is not None
+
+    def test_frozen(self):
+        sched = solve_greedy(two_point_instance())
+        with pytest.raises(AttributeError):
+            sched.deliveries = ()
+        with pytest.raises(AttributeError):
+            del sched.deliveries
+        assert sched.count == 2
+
+
 class TestColumns:
     def test_frozen_and_read_only(self):
         inst = Instance(2.0, 10.0, [(1.0, 2.0)])
@@ -264,6 +332,20 @@ class TestColumns:
         for inst in (proper, band):
             assert "points" not in vars(inst)
         assert proper.points[0].x == proper.xs[0] and "points" in vars(proper)
+
+    def test_timed_paths_leave_deliveries_unbuilt(self, tmp_path):
+        # greedy, pack, verify and the writer read the columns; the reader fills them
+        inst = gen_random_proper(12, 2.0, 10.0, 4)
+        path = tmp_path / "sched.json"
+        scheds = [solve_greedy(inst), solve_dp_proper(inst)]
+        for sched in scheds[:2]:
+            path.write_text(schedule_to_json(sched))
+            scheds.append(load_schedule(str(path)))
+        for sched in scheds:
+            verify_schedule(inst, sched)
+            assert "deliveries" not in vars(sched)
+        assert scheds[0].deliveries[0].point == scheds[0].order[0]
+        assert "deliveries" in vars(scheds[0])
 
 
 class TestVerifySchedule:
@@ -412,9 +494,17 @@ class TestVerifySchedule:
         nan_first = Schedule((Delivery(0, 0.0, 0.0), Delivery(1, math.nan, 0.0),
                               Delivery(5, 0.0, 0.0)))
         index_first = Schedule((Delivery(-1, 0.0, 0.0), Delivery(1, math.nan, 0.0)))
+        # an index past int64, and within one entry the index named before the NaN
+        huge = Schedule((Delivery(0, 0.0, 0.0), Delivery(10**30, 0.0, 0.0)))
+        nan_before_huge = Schedule((Delivery(0, math.nan, 0.0), Delivery(10**30, 0.0, 0.0)))
+        both = Schedule((Delivery(0, 0.0, 0.0), Delivery(2, math.nan, 0.0)))
         for sched, message in ((nan_first, "entry 1 launches at NaN"),
                                (index_first, "entry 0 references point -1 of an instance "
-                                             "with 2 points")):
+                                             "with 2 points"),
+                               (huge, f"entry 1 references point {10**30} of an instance "
+                                      "with 2 points"),
+                               (nan_before_huge, "entry 0 launches at NaN"),
+                               (both, "entry 1 references point 2 of an instance with 2 points")):
             for verify in (verify_schedule, _scalar_verify):
                 with pytest.raises(InvalidScheduleError) as err:
                     verify(inst, sched)

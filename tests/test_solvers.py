@@ -166,11 +166,15 @@ class TestGreedyMatchesScan:
             assert_same_greedy(gen_random_band(n, v=v, R=R, x_span=2.0 * n, seed=seed))
 
     def test_dense_bands(self):
-        # hundreds of windows are open at once
+        # hundreds of windows are open at once; at v = 50 the walk passes
+        # hundreds of points per step, and near the axis most heights tie
         for seed in range(4):
             inst = gen_random_band(500, v=2.0, R=10.0, x_span=40.0, seed=seed)
             assert_same_greedy(inst)
             assert_same_greedy(_edge_and_lifted(inst))
+            assert_same_greedy(gen_random_band(400, v=50.0, R=10.0, x_span=40.0, seed=seed))
+            near = gen_random_band(400, v=2.0, R=10.0, x_span=40.0, seed=seed)
+            assert_same_greedy(Instance(2.0, 10.0, [(p.x, p.y * 0.01) for p in near.points]))
 
     @pytest.mark.parametrize("v", [1.001, 1.05, 1.5, 4.0, 50.0])
     def test_dense_bands_pruned_by_bounds(self, v):
