@@ -24,6 +24,8 @@ ELLIPSE_COLOR = "#aaaaaa"
 
 
 def _fmt(value: float) -> str:
+    if not math.isfinite(value):  # a huge scale can overflow a point far out of band
+        raise ValueError(f"cannot draw: a coordinate is {value} at double precision")
     return f"{value + 0.0:.2f}"
 
 

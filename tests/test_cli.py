@@ -461,6 +461,14 @@ class TestRender:
         assert_usage_error(res, "cannot draw: the picture is 2e-320 by", "at double precision")
         assert res.stdout == ""
 
+    def test_coordinate_overflow_exits_2(self, tmp_path):
+        # the scale is finite but huge, so a point far out of band draws at -inf
+        inst = tmp_path / "huge.json"
+        inst.write_text(json.dumps({"v": 2, "R": 1e-300, "points": [{"x": 0.0, "y": 1e10}]}))
+        res = run_cli("render", "--instance", str(inst))
+        assert_usage_error(res, "cannot draw: a coordinate is -inf at double precision")
+        assert res.stdout == ""
+
     def test_empty_instance_render(self, tmp_path):
         # the world box falls back to the truck's own reach
         inst = tmp_path / "empty.json"

@@ -614,8 +614,40 @@ def _dense_dp_table(inst):
 def assert_same_table(inst):
     got, want = dp_table(inst), _dense_dp_table(inst)
     assert got.ranks == want.ranks
-    assert np.array_equal(got.completions, want.completions)
-    assert np.array_equal(got.parents, want.parents)
+    for a, b in ((got.completions, want.completions), (got.parents, want.parents)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def shifted(inst, T):
+    """The instance moved T along the road, truck start included."""
+    return Instance(inst.v, inst.R, list(zip((inst.xs + T).tolist(), inst.ys.tolist())),
+                    truck_start=inst.truck_start + T)
+
+
+def landing_on_window_edge(edge, T, v=2.0, R=10.0):
+    """Two points, left to right: the first's landing from the truck start T
+    launches exactly at the second's es (edge 0) or ls (edge 1).
+
+    The second point's x is nudged an ulp at a time until window_arrays
+    gives the equality.  At es the launch flies; at T = 0 the height is
+    chosen so that es + flight differs from er (by about an ulp), so a
+    kernel that took s <= es as waiting would land at er.  Far along the
+    road the two round to the same double.
+    """
+    first = (T + 5.0, 3.0)
+    s = return_positions(T, [first[0]], [first[1]], v, R)[0]
+    for y in np.linspace(0.2, 0.95, 40) * minor_radius(v, R):
+        x = s - window_arrays([0.0], [y], v, R)[edge][0]
+        for _ in range(64):
+            es, ls, er, _, _ = (w[0] for w in window_arrays([x], [y], v, R))
+            if (es, ls)[edge] == s:
+                break
+            x = np.nextafter(x, np.inf if (es, ls)[edge] < s else -np.inf)
+        if (es, ls)[edge] == s and x > first[0] and (
+                edge or T or er != return_positions(s, [x], [y], v, R)[0]):
+            return Instance(v, R, [first, (float(x), float(y))], truck_start=T)
+    raise AssertionError("no height puts the landing on the window edge")
 
 
 class TestDpTableMatchesDense:
@@ -646,6 +678,43 @@ class TestDpTableMatchesDense:
     def test_scaling_instance_of_check_9(self):
         assert_same_table(_scaling_instance(150))
 
+    def test_scaling_instance_every_cell_early(self):
+        # every landing precedes the next window's opening, and the
+        # openings grow with rank, so no cell flies
+        inst = _scaling_instance(60)
+        es = window_arrays(inst.xs, inst.ys, inst.v, inst.R)[0]
+        completions = dp_table(inst).completions
+        latest = np.where(np.isfinite(completions), completions, -np.inf).max(axis=0)
+        assert (np.diff(es) > 0).all() and (latest[:-1] < es[1:]).all()
+        assert_same_table(inst)
+
+    @pytest.mark.parametrize("T", [0.0, 1e6])
+    @pytest.mark.parametrize("edge", [0, 1], ids=["es", "ls"])
+    def test_landing_on_window_edge(self, edge, T):
+        # s == es flies (es + flight, not er) and s == ls still flies
+        inst = landing_on_window_edge(edge, T)
+        table = dp_table(inst)
+        assert table.ranks == (0, 1) and np.isfinite(table.completions[1, 1])
+        assert_same_table(inst)
+
+    def test_shifted_copies(self):
+        for seed in range(4):
+            assert_same_table(shifted(gen_random_proper(60, v=2.0, R=10.0, seed=seed), 1e6))
+            assert_same_table(shifted(gen_random_band(40, 2.5, 8.0, x_span=120.0, seed=seed),
+                                      1e6))
+        assert_same_table(shifted(_scaling_instance(60), 1e6))
+
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_dense_band(self, n):
+        # x-span = R: many launches fall inside later windows
+        for seed in range(3):
+            assert_same_table(gen_random_band(n, v=2.0, R=10.0, x_span=10.0, seed=seed))
+
+    def test_no_servable_point(self):
+        inst = Instance(2.0, 10.0, [(0.0, 100.0), (3.0, -50.0)])
+        assert dp_table(inst).completions.shape == (0,)
+        assert_same_table(inst)
+
     @settings(max_examples=60)
     @given(
         v=st.floats(1.1, 5.0),
@@ -661,6 +730,27 @@ class TestDpTableMatchesDense:
         # of reach; equal abscissas exercise the rank tie-break
         points = [(round(x), y if up else -y) for x, y, up in pts]
         assert_same_table(Instance(v, R, points, truck_start=start))
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_property_generated_families(self, data):
+        # sparse and dense (x-span = R) bands, proper instances, and bands
+        # with every third height doubled (past the band's edge for the
+        # upper half), near the origin and far along the road
+        kind = data.draw(st.sampled_from(["band", "dense", "proper", "lifted"]))
+        v = data.draw(st.sampled_from([1.05, 2.0, 50.0]))
+        R = data.draw(st.sampled_from([1.0, 10.0]))
+        n, seed = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 10_000))
+        if kind == "proper":
+            inst = gen_random_proper(n, v, R, seed=seed)
+        else:
+            inst = gen_random_band(n, v, R, x_span=R if kind == "dense" else 3.0 * R + n,
+                                   seed=seed)
+        if kind == "lifted":
+            ys = inst.ys * np.where(np.arange(n) % 3 == 0, 2.0, 1.0)
+            inst = Instance(v, R, list(zip(inst.xs.tolist(), ys.tolist())),
+                            truck_start=inst.truck_start)
+        assert_same_table(shifted(inst, data.draw(st.sampled_from([0.0, 1e6]))))
 
 
 class TestDpProper:

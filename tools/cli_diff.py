@@ -8,8 +8,9 @@ OLD_SRC and NEW_SRC are directories that hold the `truckdrone` package
 temporary directory, with PYTHONPATH set to the tree, so later commands
 read the files earlier ones wrote: instances from `gen`, schedules from
 `solve`.  The corpus covers `gen` of every kind over several seeds, `solve`
-with greedy, dp and exact, `verify` and `check-proper` on good and
-malformed files, `compare --json` and `render` with every flag pair.
+with greedy, dp (on up to 150 points) and exact, `verify` and
+`check-proper` on good and malformed files, `compare --json` and `render`
+with every flag pair.
 
 Before comparing, the temporary directory reads `<work>`, the tree's own
 path `<src>`, and every `wall_s` value `<wall_s>`.  Exit status: 0 when
@@ -46,6 +47,8 @@ FIXED_FILES = {
                              '"count": 2}'),
     "sched_late.json": ('{"deliveries": [{"point": 1, "start": 40.0, "return": 41.0}], '
                         '"count": 1}'),
+    # a point far out of a band so thin that the picture's scale is huge
+    "huge_scale.json": '{"v": 2, "R": 1e-300, "points": [{"x": 0.0, "y": 1e10}]}',
 }
 
 
@@ -96,7 +99,12 @@ def corpus() -> list[tuple[str, ...]]:
     cmds.append(("gen", "adversarial", "--k", "0"))
     cmds.append(("gen", "partition", "--values", "1,1"))
     cmds.append(("gen", "random", "--n", "5", "--seed", "4"))  # to stdout
-    for name in ("far", "empty"):
+    # a DP table of 150 ranks spans several column blocks; too large for exact
+    cmds.append(("gen", "random-proper", "--n", "150", "--seed", "5", "--out", "proper150.json"))
+    cmds += [("solve", "--algo", "dp", "--input", "proper150.json", "--output", "proper150.dp.json"),
+             ("verify", "--instance", "proper150.json", "--schedule", "proper150.dp.json"),
+             ("compare", "--json", "--input", "proper150.json", "--algos", "greedy,dp")]
+    for name in ("far", "empty", "huge_scale"):
         cmds += _instance_commands(name, False)
     for bad in ("bad_json", "missing_R", "nan", "on_axis", "no_such_file"):
         cmds.append(("solve", "--algo", "greedy", "--input", f"{bad}.json"))
