@@ -619,12 +619,6 @@ def assert_same_table(inst):
         assert np.array_equal(a, b)
 
 
-def shifted(inst, T):
-    """The instance moved T along the road, truck start included."""
-    return Instance(inst.v, inst.R, list(zip((inst.xs + T).tolist(), inst.ys.tolist())),
-                    truck_start=inst.truck_start + T)
-
-
 def landing_on_window_edge(edge, T, v=2.0, R=10.0):
     """Two points, left to right: the first's landing from the truck start T
     launches exactly at the second's es (edge 0) or ls (edge 1).
@@ -699,10 +693,10 @@ class TestDpTableMatchesDense:
 
     def test_shifted_copies(self):
         for seed in range(4):
-            assert_same_table(shifted(gen_random_proper(60, v=2.0, R=10.0, seed=seed), 1e6))
-            assert_same_table(shifted(gen_random_band(40, 2.5, 8.0, x_span=120.0, seed=seed),
-                                      1e6))
-        assert_same_table(shifted(_scaling_instance(60), 1e6))
+            assert_same_table(_shifted(gen_random_proper(60, v=2.0, R=10.0, seed=seed), 1e6))
+            assert_same_table(_shifted(gen_random_band(40, 2.5, 8.0, x_span=120.0, seed=seed),
+                                       1e6))
+        assert_same_table(_shifted(_scaling_instance(60), 1e6))
 
     @pytest.mark.parametrize("n", [40, 200])
     def test_dense_band(self, n):
@@ -750,7 +744,7 @@ class TestDpTableMatchesDense:
             ys = inst.ys * np.where(np.arange(n) % 3 == 0, 2.0, 1.0)
             inst = Instance(v, R, list(zip(inst.xs.tolist(), ys.tolist())),
                             truck_start=inst.truck_start)
-        assert_same_table(shifted(inst, data.draw(st.sampled_from([0.0, 1e6]))))
+        assert_same_table(_shifted(inst, data.draw(st.sampled_from([0.0, 1e6]))))
 
 
 class TestDpProper:
