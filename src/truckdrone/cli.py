@@ -183,25 +183,26 @@ def load_schedule(path: str) -> Schedule:
     return Schedule._from_columns(order, starts, rets)
 
 
-def _entries(texts: list[str]) -> str:
-    """The list of an instance's or a schedule's entries, written one f-string
-    each, in the bytes of emit_json; .17g writes -0.0 as -0."""
-    body = ",\n".join(texts).replace(": -0,", ": -0.0,").replace(": -0\n", ": -0.0\n")
-    return f"[\n{body}\n  ]" if texts else "[]"
+def _document(head: str, texts: list[str], tail: str) -> str:
+    """head, the entries and tail joined once, in emit_json's bytes; .17g writes -0.0 as -0."""
+    if not texts:
+        return f"{head}[]{tail}"
+    texts[0] = f"{head}[\n{texts[0]}"
+    texts[-1] += f"\n  ]{tail}"
+    return ",\n".join(texts).replace(": -0,", ": -0.0,").replace(": -0\n", ": -0.0\n")
 
 
 def instance_to_json(inst: Instance) -> str:
-    points = _entries([f'    {{\n      "x": {x:.17g},\n      "y": {y:.17g}\n    }}'
-                       for x, y in zip(inst.xs.tolist(), inst.ys.tolist())])
-    return (f'{{\n  "v": {_emit(inst.v)},\n  "R": {_emit(inst.R)},\n'
-            f'  "truck_start": {_emit(inst.truck_start)},\n  "points": {points}\n}}\n')
+    return _document(f'{{\n  "v": {_emit(inst.v)},\n  "R": {_emit(inst.R)},\n'
+                     f'  "truck_start": {_emit(inst.truck_start)},\n  "points": ',
+                     [f'    {{\n      "x": {x:.17g},\n      "y": {y:.17g}\n    }}'
+                      for x, y in zip(inst.xs.tolist(), inst.ys.tolist())], "\n}\n")
 
 
 def schedule_to_json(sched: Schedule) -> str:
-    deliveries = _entries([f'    {{\n      "point": {i},\n      "start": {start:.17g},'
-                           f'\n      "return": {ret:.17g}\n    }}'
-                           for i, start, ret in zip(sched.order, sched.starts, sched.rets)])
-    return f'{{\n  "deliveries": {deliveries},\n  "count": {sched.count}\n}}\n'
+    entries = [f'    {{\n      "point": {i},\n      "start": {s:.17g},\n      "return": {r:.17g}'
+               '\n    }' for i, s, r in zip(sched.order, sched.starts, sched.rets)]
+    return _document('{\n  "deliveries": ', entries, f',\n  "count": {sched.count}\n}}\n')
 
 
 # --- commands ---------------------------------------------------------------
@@ -224,10 +225,8 @@ def cmd_solve(args) -> int:
         return 1
     report = verify_schedule(inst, sched)
     _write_out(schedule_to_json(sched), args.output)
-    print(
-        f"{args.algo}: count={sched.count} completion={_emit(report.completion)}",
-        file=sys.stderr,
-    )
+    print(f"{args.algo}: count={sched.count} completion={_emit(report.completion)}",
+          file=sys.stderr)
     return 0
 
 

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import truckdrone
@@ -516,6 +516,7 @@ def _schedules(draw):
 class TestJsonRoundTripProperties:
     @settings(max_examples=200)
     @given(inst=_instances())
+    @example(inst=Instance(2.0, 10.0, ((-0.0, -5e-324),), truck_start=-0.0))  # one entry
     def test_instance_writer_equals_emit_json(self, inst):
         assert instance_to_json(inst) == emit_json({
             "v": inst.v, "R": inst.R, "truck_start": inst.truck_start,
@@ -523,6 +524,7 @@ class TestJsonRoundTripProperties:
 
     @settings(max_examples=200)
     @given(sched=_schedules())
+    @example(sched=Schedule((Delivery(0, -0.0, -0.0),)))  # one entry
     def test_schedule_writer_equals_emit_json(self, sched):
         assert schedule_to_json(sched) == emit_json({
             "deliveries": [{"point": d.point, "start": d.start, "return": d.ret}
