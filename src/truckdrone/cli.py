@@ -139,10 +139,13 @@ def load_instance(path: str) -> Instance:
         raise CliError(f"{path}: 'points' must be an array")
     if all(type(e) is dict and e.keys() == _XY for e in entries):  # the column fast path
         xs, ys = [e["x"] for e in entries], [e["y"] for e in entries]
-        if {*map(type, xs), *map(type, ys)} <= {float, int}:
+        kinds = {*map(type, xs), *map(type, ys)}
+        # an int past the float range would round into it; _need_number refuses it
+        if kinds <= {float, int} and (
+                int not in kinds or max(map(abs, xs + ys)) <= sys.float_info.max):
             try:
                 return Instance._from_columns(v, R, xs, ys, truck_start=s0)
-            except (ValueError, OverflowError):  # the latter: an int past float range
+            except ValueError:
                 pass  # the checks below name the first bad field, in file order
     pts = []
     for i, entry in enumerate(entries):
@@ -245,12 +248,7 @@ def cmd_verify(args) -> int:
 def cmd_check_proper(args) -> int:
     inst = load_instance(args.input)
     report = check_proper(inst, tol=args.tolerance)
-    sys.stdout.write(emit_json({
-        "is_proper": report.is_proper,
-        "triangle_violations": [list(p) for p in report.triangle_violations],
-        "nesting_violations": [list(p) for p in report.nesting_violations],
-        "out_of_band": list(report.out_of_band),
-    }))
+    sys.stdout.write(emit_json(vars(report)))
     return 0 if report.is_proper else 1
 
 
@@ -273,13 +271,7 @@ def cmd_gen(args) -> int:
             print(f"layout point count (acceptance 8), not an optimum: {expected}", file=sys.stderr)
         else:  # adversarial
             inst, cert = gen_greedy_tightness(args.k, args.v, args.R)
-            cert_json = emit_json({
-                "pairs": cert.pairs,
-                "exact_count": cert.exact_count,
-                "greedy_count": cert.greedy_count,
-                "optimal_order": list(cert.optimal_order),
-                "method": cert.method,
-            })
+            cert_json = emit_json(vars(cert))
             if args.out and args.out != "-":
                 cert_path = args.out + ".cert.json"
                 _write_out(cert_json, cert_path)

@@ -44,6 +44,10 @@ class ThreePartitionSpec:
             )
         if self.target < 2:
             raise ValueError("triple sum must be at least 2 to give a drone speed above 1")
+        try:  # the drone speed and the spacing are floats
+            float(self.target), self.eps
+        except OverflowError:
+            raise ValueError(f"triple sum or spacing (c={self.c}) past the float range") from None
 
     @property
     def n(self) -> int:
@@ -82,8 +86,7 @@ def gen_three_partition(spec: ThreePartitionSpec) -> tuple[Instance, int]:
         pts.append((i * (6.0 + eps), m))
     for t in range(T + 1):
         pts.append((spec.k * (6.0 + eps) + 4.0 * t, m))
-    expected = spec.n + (spec.k - 1) + (T + 1)
-    return Instance(v, R, tuple(pts), truck_start=2.0), expected
+    return Instance(v, R, tuple(pts), truck_start=2.0), len(pts)
 
 
 # --- random families --------------------------------------------------------

@@ -89,7 +89,7 @@ def start_window(d, v: float, R: float) -> StartWindow | None:
     m = _minor_radius(v, R)
     if abs(y) > m:
         return None
-    half = M * math.sqrt(max(0.0, 1.0 - (y * y) / (m * m)))
+    half = M * math.sqrt(max(0.0, 1.0 - ((y * y) / (m * m) if m * m else (y / m) ** 2)))
     gap = R / v
     es = x - gap / 2.0 - half
     ls = x - gap / 2.0 + half
@@ -173,7 +173,8 @@ def _half_width(y, v: float, R: float):
     """Start-window half-width at height y (start_window's half_width); arrays work too."""
     m = _minor_radius(v, R)
     y = np.minimum(np.abs(y), m)  # |y| in band; far out of it no square overflows
-    return (R / 2.0) * np.sqrt(np.maximum(0.0, 1.0 - (y * y) / (m * m)))
+    ratio = (y * y) / (m * m) if m * m else (y / m) ** 2  # (y/m)^2 where m * m underflows
+    return (R / 2.0) * np.sqrt(np.maximum(0.0, 1.0 - ratio))
 
 
 def window_arrays(xs, ys, v: float, R: float):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _half_width, _minor_radius, start_window
+from .geometry import _half_width, _minor_radius, window_arrays
 from .model import DEFAULT_TOL, Instance, _check_tol
 
 _BLOCK = 64  # points per block of check_proper's sweep
@@ -132,11 +132,8 @@ def interval_order_check(inst: Instance) -> bool:
 
     Holds on every proper instance; used as a test assertion.
     """
-    windows = []
-    for p in inst.points:
-        w = start_window(p, inst.v, inst.R)
-        if w is None:
-            return False
-        windows.append((p.x, w.es, w.ls))
-    return all(lsi < esj or esi < esj <= lsi < lsj  # disjoint or staggered
-               for xi, esi, lsi in windows for xj, esj, lsj in windows if xi < xj)
+    es, ls, _, _, in_band = window_arrays(inst.xs, inst.ys, inst.v, inst.R)
+    windows = list(zip(inst.xs.tolist(), es.tolist(), ls.tolist()))
+    return bool(in_band.all()) and all(
+        lsi < esj or esi < esj <= lsi < lsj  # disjoint or staggered
+        for xi, esi, lsi in windows for xj, esj, lsj in windows if xi < xj)

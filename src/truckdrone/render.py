@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import reach_envelope, start_window
+from .geometry import reach_envelope, window_arrays
 from .model import Instance, Schedule
 
 WIDTH = 1200.0
@@ -75,13 +75,11 @@ def render_svg(inst: Instance, sched: Schedule | None = None,
                               stroke_dasharray="4 3"))
 
     if show_windows:
-        for p in inst.points:
-            w = start_window(p, inst.v, inst.R)
-            if w is None:
-                continue
-            for t in (w.es, w.ls):
+        es, ls, _, _, in_band = window_arrays(inst.xs, inst.ys, inst.v, inst.R)
+        for first, last in zip(es[in_band].tolist(), ls[in_band].tolist()):
+            for t in (first, last):
                 parts.append(line(X(t), axis - 5.0, X(t), axis + 5.0, WINDOW_COLOR, "1.5"))
-            parts.append(line(X(w.es), axis, X(w.ls), axis, WINDOW_COLOR, "3", opacity="0.5"))
+            parts.append(line(X(first), axis, X(last), axis, WINDOW_COLOR, "3", opacity="0.5"))
 
     truck_end = max(max((d.ret for d in deliveries), default=inst.truck_start), hi)
     parts.append(line(X(inst.truck_start), axis, X(truck_end), axis, TRUCK_COLOR, "2.5"))

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (_flight_time, _land, return_position, return_positions, start_window,
-                       window_arrays)
+from .geometry import _flight_time, _land, return_position, start_window, window_arrays
 from .model import Instance, Schedule, earliest_start_pack
 from .proper import NotProperError, check_proper
 
@@ -136,7 +135,8 @@ def dp_table(inst: Instance) -> DpTable:
         costs two comparisons; the flight, return_positions' formula, runs
         on the in-window cells only, whose heights are in band.
       - A cell left at +inf gets parent 0, which is what argmin over an
-        all-+inf dense column returns.  Row 0 keeps the parents -1.
+        all-+inf dense column returns.  Row 0 starts from a rank -1 that lies
+        left of every point and lands at truck_start; its parents are -1.
     Each row is written in place into one n x n table, and only rows up to
     the last finite one are touched and returned.  The columns are walked
     in blocks of about _DP_BLOCK_CELLS landings, so the temporaries stay
@@ -148,22 +148,15 @@ def dp_table(inst: Instance) -> DpTable:
     n = len(inst)
     order = np.lexsort((inst.ys, inst.xs))  # stable, so ties keep index order
     ranks, xs, ys = tuple(order.tolist()), inst.xs[order], inst.ys[order]
-    windows = window_arrays(xs, ys, inst.v, inst.R)
     if n == 0:
         return DpTable(np.empty((0, 0)), np.empty((0, 0), dtype=int), ranks)
 
-    es, ls, er, _, in_band = windows
+    es, ls, er, _, in_band = window_arrays(xs, ys, inst.v, inst.R)
     es, ls = np.where(in_band, es, -np.inf), np.where(in_band, ls, -np.inf)
     completions, parents = np.empty((n, n)), np.empty((n, n), dtype=int)
-    completions[0] = return_positions(inst.truck_start, xs, ys, inst.v, inst.R, windows=windows)
-    parents[0] = -1
+    live, launches = np.array([-1]), np.array([inst.truck_start])  # rank -1, left of all
     depth = 0
-    while np.isfinite(row := completions[depth]).any():
-        depth += 1
-        if depth == n:
-            break
-        live = np.flatnonzero(np.isfinite(row))
-        launches = row[live]
+    while depth < n:
         width = max(1, _DP_BLOCK_CELLS // len(live))
         nxt, parent = completions[depth], parents[depth]
         nxt[: live[0] + 1], parent[: live[0] + 1] = np.inf, 0
@@ -185,6 +178,12 @@ def dp_table(inst: Instance) -> DpTable:
             np.copyto(land[t:], np.inf, where=prev[t:, None] >= np.arange(c0, c1))
             nxt[c0:c1] = best = land.min(axis=0)
             parent[c0:c1] = np.where(np.isfinite(best), prev[land.argmin(axis=0)], 0)
+        live = np.flatnonzero(np.isfinite(nxt))
+        if not len(live):
+            break
+        launches = nxt[live]
+        depth += 1
+    parents[0] = -1
     if depth == 0:  # no point is servable
         return DpTable(np.array([]), np.array([]), ranks)
     return DpTable(completions[:depth], parents[:depth], ranks)

@@ -26,7 +26,10 @@ from truckdrone.cli import (
     main,
     schedule_to_json,
 )
+from truckdrone.generators import gen_greedy_tightness, gen_random_band
 from truckdrone.model import Delivery, Instance, Schedule
+from truckdrone.proper import check_proper
+from truckdrone.render import WINDOW_COLOR
 
 # the child imports the same package as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(truckdrone.__file__)))
@@ -281,6 +284,23 @@ class TestSolveAndVerify:
             ver = run_cli("verify", "--instance", str(inst), "--schedule", str(sched))
             assert (ver.returncode, ver.stderr) == (0, "")
 
+    def test_band_so_thin_that_its_square_underflows(self, tmp_path):
+        # at R = 1e-300 the band's half-height squared underflows to 0; the
+        # point is in band, so every solver serves it and nothing warns
+        inst = tmp_path / "thin.json"
+        inst.write_text(json.dumps({"v": 2, "R": 1e-300, "points": [{"x": 0.0, "y": 1e-301}]}))
+        for algo, extra in (("greedy", ()), ("dp", ()), ("dp", ("--allow-nonproper",)),
+                            ("exact", ())):
+            res = run_cli("solve", "--algo", algo, "--input", str(inst), *extra)
+            assert res.returncode == 0
+            [line] = res.stderr.splitlines()
+            assert line.startswith(f"{algo}: count=1 completion=")
+        res = run_cli("check-proper", "--input", str(inst))
+        assert (res.returncode, res.stderr) == (0, "")
+        res = run_cli("render", "--instance", str(inst), "--show-windows")
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout.count(WINDOW_COLOR) == 3  # two ticks and a bar
+
     def test_empty_instance_solves_to_zero(self, tmp_path):
         inst = tmp_path / "empty.json"
         inst.write_text(json.dumps({"v": 2.0, "R": 10.0, "points": []}))
@@ -326,6 +346,61 @@ class TestCheckProper:
         assert res.returncode == 0, res.stderr
 
 
+def _report_by_fields(report):
+    """check-proper's document, built field by field from the report."""
+    return emit_json({
+        "is_proper": report.is_proper,
+        "triangle_violations": [list(p) for p in report.triangle_violations],
+        "nesting_violations": [list(p) for p in report.nesting_violations],
+        "out_of_band": list(report.out_of_band),
+    })
+
+
+def _certificate_by_fields(cert):
+    """gen adversarial's certificate, built field by field."""
+    return emit_json({
+        "pairs": cert.pairs,
+        "exact_count": cert.exact_count,
+        "greedy_count": cert.greedy_count,
+        "optimal_order": list(cert.optimal_order),
+        "method": cert.method,
+    })
+
+
+class TestDocumentsFromRecords:
+    """The report and the certificate are written from their records, in
+    the bytes of a document built field by field."""
+
+    def test_report_with_every_kind_of_entry(self, tmp_path):
+        band = gen_random_band(6, 2.0, 10.0, 10.0, seed=2)
+        inst = Instance(2.0, 10.0, [(p.x, p.y) for p in band.points] + [(3.0, 9.0)])
+        report = check_proper(inst)
+        assert report.triangle_violations and report.nesting_violations
+        assert report.out_of_band == (6,)
+        path = tmp_path / "mixed.json"
+        path.write_text(instance_to_json(inst))
+        res = run_cli("check-proper", "--input", str(path))
+        assert (res.returncode, res.stdout) == (1, _report_by_fields(report))
+
+    def test_empty_report(self, tmp_path):
+        inst = Instance(2.0, 10.0, [])
+        path = tmp_path / "empty.json"
+        path.write_text(instance_to_json(inst))
+        res = run_cli("check-proper", "--input", str(path))
+        assert (res.returncode, res.stdout) == (0, _report_by_fields(check_proper(inst)))
+        assert '"triangle_violations": []' in res.stdout
+
+    @pytest.mark.parametrize("k", [1, 6])  # the exact solver, then the witness pack
+    def test_certificate_to_a_file_and_to_stderr(self, tmp_path, k):
+        _, cert = gen_greedy_tightness(k, 2.0, 10.0)
+        want = _certificate_by_fields(cert)
+        out = tmp_path / "trap.json"
+        assert run_cli("gen", "adversarial", "--k", str(k), "--out", str(out)).returncode == 0
+        assert (tmp_path / "trap.json.cert.json").read_text() == want
+        res = run_cli("gen", "adversarial", "--k", str(k))
+        assert (res.returncode, res.stderr) == (0, want)
+
+
 class TestGen:
     def test_random_writes_requested_count(self, band_file):
         data = json.loads(band_file.read_text())
@@ -335,6 +410,15 @@ class TestGen:
         res = run_cli("gen", "partition", "--values", "1,1", "--out",
                       str(tmp_path / "x.json"))
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("flags", [
+        ("--values", ",".join(["1" + "0" * 310] * 3)),  # the triple sum has no float
+        ("--c", "-100000"),  # nor has the spacing
+    ])
+    def test_partition_past_the_float_range_is_usage_error(self, flags):
+        res = run_cli("gen", "partition", *flags)
+        assert_usage_error(res, "error: ", "past the float range")
+        assert res.stdout == ""
 
     def test_adversarial_writes_certificate(self, tmp_path):
         inst = tmp_path / "trap.json"
@@ -829,6 +913,8 @@ class TestLoaderPaths:
         "str": {"x": 1.0, "y": "2.0"},
         "null": {"x": None, "y": 1.0},
         "int past float range": {"x": 1.0, "y": 10**400},
+        # rounds to the largest double, so only the range check refuses it
+        "int just past float range": {"x": int(sys.float_info.max) + 1, "y": 1.0},
         "missing key": {"x": 1.0},
         "extra key": {"x": 1.0, "y": 1.0, "z": 0.0},
         "non-dict": [1.0, 1.0],

@@ -59,6 +59,23 @@ class TestThreePartitionSpec:
         loose = ThreePartitionSpec((1, 1, 1, 1, 1, 1), c=0)
         assert loose.eps == pytest.approx(6.0 ** -2)
 
+    @pytest.mark.parametrize("values, c", [
+        ((10**310,) * 3, 4),  # the triple sum, the drone speed, has no float
+        ((1, 1, 1), -100_000),  # the spacing 3**99998 has no float
+    ])
+    def test_rejects_numbers_past_the_float_range(self, values, c):
+        with pytest.raises(ValueError, match="past the float range"):
+            ThreePartitionSpec(values, c=c)
+
+    @pytest.mark.parametrize("values, c", [
+        ((10**300,) * 3, 4),  # large, but a float
+        ((1, 1, 1), -600),  # the spacing 3**598 is large, but a float
+        ((1, 1, 1), 10**6),  # the spacing underflows to 0
+    ])
+    def test_accepts_numbers_within_the_float_range(self, values, c):
+        spec = ThreePartitionSpec(values, c=c)
+        assert math.isfinite(spec.eps) and math.isfinite(float(spec.target))
+
 
 class TestGenThreePartition:
     def test_six_ones_structure(self):

@@ -361,7 +361,37 @@ class TestPairViolationsMatchCrossProducts:
         assert hits > 200 and checked > 0.99 * pairs
 
 
+def _per_point_interval_order(inst):
+    """interval_order_check from one start_window per point."""
+    windows = []
+    for p in inst.points:
+        w = start_window(p, inst.v, inst.R)
+        if w is None:
+            return False
+        windows.append((p.x, w.es, w.ls))
+    return all(lsi < esj or esi < esj <= lsi < lsj
+               for xi, esi, lsi in windows for xj, esj, lsj in windows if xi < xj)
+
+
 class TestIntervalOrderCheck:
+    def test_equals_the_per_point_form(self):
+        # proper instances, sparse bands, and the same bands with every
+        # third point lifted out of band; always a bool, never numpy's
+        m = minor_radius(2.5, 8.0)
+        outcomes = []
+        for seed in range(100):
+            band = gen_random_band(3 + seed % 5, v=2.5, R=8.0, x_span=60.0, seed=seed)
+            lifted = Instance(2.5, 8.0, [(p.x, p.y + math.copysign(m, p.y) if i % 3 == 0 else p.y)
+                                         for i, p in enumerate(band.points)])
+            for inst in (gen_random_proper(2 + seed % 9, v=1.5 + seed % 4, R=8.0, seed=seed),
+                         band, lifted):
+                got = interval_order_check(inst)
+                assert type(got) is bool and got == _per_point_interval_order(inst)
+                outcomes.append(got)
+        assert outcomes.count(True) > 100 and outcomes.count(False) > 100
+        thin = Instance(2.0, 1e-300, [(0.0, 1e-301), (1e-300, -2e-301)])  # m * m underflows
+        assert interval_order_check(thin) is _per_point_interval_order(thin)
+
     def test_disjoint_windows(self):
         m = minor_radius(2.0, 10.0)
         inst = Instance(v=2.0, R=10.0, points=[(5.0, 3.0), (30.0, 0.6 * m)])

@@ -666,6 +666,21 @@ class TestDpTableMatchesDense:
             assert any(abs(y) > m for _, y in lifted)
             assert_same_table(Instance(2.5, 8.0, lifted))
 
+    def test_out_of_band_points_across_column_blocks(self):
+        # 150 points with every third lifted out of band: a row's live
+        # predecessors are many enough that its columns span several blocks
+        m = minor_radius(2.0, 10.0)
+        for seed in range(3):
+            band = gen_random_band(150, v=2.0, R=10.0, x_span=150.0, seed=seed)
+            inst = Instance(2.0, 10.0, [(p.x, p.y + math.copysign(m, p.y) if i % 3 == 0 else p.y)
+                                        for i, p in enumerate(band.points)])
+            table = dp_table(inst)
+            finite = np.isfinite(table.completions)
+            assert not finite[:, [j for j, i in enumerate(table.ranks) if i % 3 == 0]].any()
+            assert any(len(inst) - 1 - row.argmax() > solvers._DP_BLOCK_CELLS // row.sum()
+                       for row in finite[:-1])
+            assert_same_table(inst)
+
     def test_large_random_band(self):
         assert_same_table(gen_random_band(200, v=2.0, R=10.0, x_span=400.0, seed=4))
 

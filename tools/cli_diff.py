@@ -8,9 +8,9 @@ OLD_SRC and NEW_SRC are directories that hold the `truckdrone` package
 temporary directory, with PYTHONPATH set to the tree, so later commands
 read the files earlier ones wrote: instances from `gen`, schedules from
 `solve`.  The corpus covers `gen` of every kind over several seeds, `solve`
-with greedy, dp (on up to 150 points) and exact, `verify` and
-`check-proper` on good and malformed files, `compare --json` and `render`
-with every flag pair.
+with greedy, dp (on up to 150 points, some out of band) and exact,
+`verify` and `check-proper` on good and malformed files, `compare --json`
+and `render` with every flag pair.
 
 Before comparing, the temporary directory reads `<work>`, the tree's own
 path `<src>`, and every `wall_s` value `<wall_s>`.  Exit status: 0 when
@@ -20,7 +20,9 @@ the two trees agree on every command, 1 when any differs.
 from __future__ import annotations
 
 import difflib
+import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -31,6 +33,17 @@ from pathlib import Path
 SEEDS = (0, 1, 2)
 FLAG_PAIRS = ((), ("--show-windows",), ("--show-ellipses",),
               ("--show-windows", "--show-ellipses"))
+
+
+def _lifted_band(n: int = 150, seed: int = 0) -> str:
+    """n points over [0, n] x the band of v = 2, R = 10, every third lifted out of it."""
+    rng, m = random.Random(seed), 2.5 * 3 ** 0.5
+    points = []
+    for i in range(n):
+        y = rng.uniform(1.1, 3.0) * m if i % 3 == 0 else rng.uniform(0.05, 0.95) * m
+        points.append({"x": rng.uniform(0.0, n), "y": y if rng.random() < 0.5 else -y})
+    return json.dumps({"v": 2.0, "R": 10.0, "points": points})
+
 
 # files written before the corpus runs, the same for both trees
 FIXED_FILES = {
@@ -49,6 +62,13 @@ FIXED_FILES = {
                         '"count": 1}'),
     # a point far out of a band so thin that the picture's scale is huge
     "huge_scale.json": '{"v": 2, "R": 1e-300, "points": [{"x": 0.0, "y": 1e10}]}',
+    # a point in a band so thin that m * m underflows to 0
+    "thin_band.json": '{"v": 2, "R": 1e-300, "points": [{"x": 0.0, "y": 1e-301}]}',
+    # an integer just past the float range, which would round to the largest double
+    "int_past_range.json": ('{"v": 2.0, "R": 10.0, "points": [{"x": %d, "y": 1.0}, '
+                            '{"x": 2.0, "y": 1.0}]}' % (int(sys.float_info.max) + 1)),
+    # out-of-band columns in a DP table of several column blocks
+    "lifted150.json": _lifted_band(),
 }
 
 
@@ -104,9 +124,16 @@ def corpus() -> list[tuple[str, ...]]:
     cmds += [("solve", "--algo", "dp", "--input", "proper150.json", "--output", "proper150.dp.json"),
              ("verify", "--instance", "proper150.json", "--schedule", "proper150.dp.json"),
              ("compare", "--json", "--input", "proper150.json", "--algos", "greedy,dp")]
-    for name in ("far", "empty", "huge_scale"):
+    cmds += [("solve", "--algo", "dp", "--allow-nonproper", "--input", "lifted150.json",
+              "--output", "lifted150.dp.json"),
+             ("verify", "--instance", "lifted150.json", "--schedule", "lifted150.dp.json"),
+             ("compare", "--json", "--input", "lifted150.json", "--algos", "greedy,dp")]
+    # a triple sum, and a spacing n**-(c+2), past the float range
+    cmds.append(("gen", "partition", "--values", ",".join(["1" + "0" * 310] * 3)))
+    cmds.append(("gen", "partition", "--c", "-100000"))
+    for name in ("far", "empty", "huge_scale", "thin_band"):
         cmds += _instance_commands(name, False)
-    for bad in ("bad_json", "missing_R", "nan", "on_axis", "no_such_file"):
+    for bad in ("bad_json", "missing_R", "nan", "on_axis", "int_past_range", "no_such_file"):
         cmds.append(("solve", "--algo", "greedy", "--input", f"{bad}.json"))
         cmds.append(("check-proper", "--input", f"{bad}.json"))
     for sched in ("sched_bad_index", "sched_bad_count", "sched_late", "bad_json"):
