@@ -219,17 +219,30 @@ SOLVERS = {
 }
 
 
+def _solve(algo: str, inst: Instance, args):  # (schedule, completion, wall_s, refusal)
+    t0 = time.perf_counter()  # wall_s times the solver alone
+    try:
+        sched = SOLVERS[algo](inst, args)
+    except (NotProperError, BudgetError) as e:
+        note = "not-proper" if isinstance(e, NotProperError) else "over-budget"
+        return None, None, time.perf_counter() - t0, (note, str(e))  # refusal: (note, reason)
+    wall = time.perf_counter() - t0
+    report = verify_schedule(inst, sched)  # a schedule it cannot confirm is refused too
+    if report.feasible and math.isfinite(report.completion):
+        return sched, report.completion, wall, None
+    why = (", ".join(f"entry {j}: {r}" for j, r in report.violations)
+           or f"completion {report.completion}")
+    return None, None, wall, ("unconfirmed", f"verify cannot confirm the schedule ({why})")
+
+
 def cmd_solve(args) -> int:
     inst = load_instance(args.input)
-    try:
-        sched = SOLVERS[args.algo](inst, args)
-    except (NotProperError, BudgetError) as e:
-        print(f"{args.algo} refused: {e}", file=sys.stderr)
+    sched, completion, _, refusal = _solve(args.algo, inst, args)
+    if refusal:
+        print(f"{args.algo} refused: {refusal[1]}", file=sys.stderr)
         return 1
-    report = verify_schedule(inst, sched)
     _write_out(schedule_to_json(sched), args.output)
-    print(f"{args.algo}: count={sched.count} completion={_emit(report.completion)}",
-          file=sys.stderr)
+    print(f"{args.algo}: count={sched.count} completion={_emit(completion)}", file=sys.stderr)
     return 0
 
 
@@ -292,19 +305,10 @@ def cmd_compare(args) -> int:
         algo = algo.strip()
         if algo not in SOLVERS:
             raise CliError(f"unknown algorithm {algo!r}")
-        t0 = time.perf_counter()
-        sched, note = None, ""
-        try:
-            sched = SOLVERS[algo](inst, args)
-        except NotProperError:
-            note = "not-proper"
-        except BudgetError:
-            note = "over-budget"
-        wall = time.perf_counter() - t0
-        ran = sched is not None
-        rows.append({"algo": algo, "count": sched.count if ran else None,
-                     "completion": verify_schedule(inst, sched).completion if ran else None,
-                     "wall_s": wall, "note": note})
+        sched, completion, wall, refusal = _solve(algo, inst, args)
+        rows.append({"algo": algo, "count": None if refusal else sched.count,
+                     "completion": completion, "wall_s": wall,
+                     "note": refusal[0] if refusal else ""})
     if args.json:
         sys.stdout.write(emit_json({"rows": rows}))
     else:

@@ -81,12 +81,10 @@ def gen_three_partition(spec: ThreePartitionSpec) -> tuple[Instance, int]:
     R = 4.0 * T
     m = reach_envelope(v, R).minor_radius
     eps = spec.eps
-    pts = [(0.0, float(y)) for y in spec.values]
-    for i in range(1, spec.k):
-        pts.append((i * (6.0 + eps), m))
-    for t in range(T + 1):
-        pts.append((spec.k * (6.0 + eps) + 4.0 * t, m))
-    return Instance(v, R, tuple(pts), truck_start=2.0), len(pts)
+    xs = [0.0] * spec.n + [i * (6.0 + eps) for i in range(1, spec.k)]  # values, separators
+    xs += [spec.k * (6.0 + eps) + 4.0 * t for t in range(T + 1)]  # tail
+    ys = [float(y) for y in spec.values] + [m] * (spec.k + T)
+    return Instance._from_columns(v, R, xs, ys, truck_start=2.0), len(xs)
 
 
 # --- random families --------------------------------------------------------
@@ -205,9 +203,8 @@ def gen_greedy_tightness(k: int, v: float, R: float) -> tuple[Instance, Tightnes
     x_decoy = D + w  # decoy window opens exactly at the truck start
     x_edge = x_decoy + w - F - 0.25 * (2.0 * w - F)  # lands (2w - F)/4 before the decoy ls
     period = 2.0 * F + M
-    pts = [pt for p in range(k)
-           for pt in ((x_edge + p * period, m), (x_decoy + p * period, y_decoy))]
-    inst = Instance(v, R, tuple(pts), truck_start=0.0)
+    xs = [x + p * period for p in range(k) for x in (x_edge, x_decoy)]
+    inst = Instance._from_columns(v, R, xs, [m, y_decoy] * k, truck_start=0.0)
     return inst, _certify_tightness(inst, k)
 
 

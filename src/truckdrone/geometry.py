@@ -173,6 +173,8 @@ def _half_width(y, v: float, R: float):
     """Start-window half-width at height y (start_window's half_width); arrays work too."""
     m = _minor_radius(v, R)
     y = np.minimum(np.abs(y), m)  # |y| in band; far out of it no square overflows
+    if not m:  # m underflowed to 0, so every point is out of band: a placeholder 0
+        return y
     ratio = (y * y) / (m * m) if m * m else (y / m) ** 2  # (y/m)^2 where m * m underflows
     return (R / 2.0) * np.sqrt(np.maximum(0.0, 1.0 - ratio))
 

@@ -14,8 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (INFEASIBLE, _check_params, return_position, return_positions,
-                       start_window, window_arrays)
+from .geometry import INFEASIBLE, _check_params, return_position, return_positions, window_arrays
 
 DEFAULT_TOL = 1e-9
 
@@ -202,9 +201,10 @@ def verify_schedule(inst: Instance, sched: Schedule, tol: float = DEFAULT_TOL) -
     windows = es, ls, er, lr, in_band = window_arrays(xs, ys, inst.v, inst.R)
     # a start within tolerance past the window still lands from ls
     ret = return_positions(np.minimum(starts, ls), xs, ys, inst.v, inst.R, windows)
-    late = ~in_band | (starts > ls + slack)
-    ret[late] = INFEASIBLE
-    early = starts < np.concatenate(([inst.truck_start], ret[:-1])) - slack
+    with np.errstate(over="ignore"):  # near the largest double the slack rounds to inf
+        late = ~in_band | (starts > ls + slack)
+        ret[late] = INFEASIBLE
+        early = starts < np.concatenate(([inst.truck_start], ret[:-1])) - slack
     dup = np.zeros(len(order), dtype=bool)
     if len(set(order)) < len(order):
         seen: set[int] = set()  # set.add returns None, so only repeats read True
@@ -245,14 +245,15 @@ def earliest_start_pack(inst: Instance, order) -> Schedule | None:
         if idx in seen:
             raise InvalidScheduleError(f"order repeats point {idx}")
         seen.add(idx)
+    idx = list(order)
+    xs, ys = inst.xs[idx], inst.ys[idx]
+    es, ls, _, _, in_band = (w.tolist() for w in window_arrays(xs, ys, inst.v, inst.R))
     starts, rets = [], []
     cur = inst.truck_start
-    for idx in order:
-        p = inst.xs[idx], inst.ys[idx]
-        w = start_window(p, inst.v, inst.R)
-        if w is None or max(cur, w.es) > w.ls:
+    for p, first, last, ok in zip(zip(xs.tolist(), ys.tolist()), es, ls, in_band):
+        if not ok or max(cur, first) > last:
             return None
-        starts.append(max(cur, w.es))
+        starts.append(max(cur, first))
         cur = return_position(starts[-1], p, inst.v, inst.R)
         rets.append(cur)
     return Schedule._from_columns(order, starts, rets)

@@ -45,8 +45,9 @@ def render_svg(inst: Instance, sched: Schedule | None = None,
     reach ellipse of every scheduled launch.
     """
     env = reach_envelope(inst.v, inst.R)
-    xs = [p.x for p in inst.points] or [inst.truck_start]
-    lo, hi = min(xs) - inst.R, max(xs) + inst.R
+    xs, ys = inst.xs.tolist(), inst.ys.tolist()
+    lo = min(xs, default=inst.truck_start) - inst.R
+    hi = max(xs, default=inst.truck_start) + inst.R
     world_w, world_h = hi - lo, 2.0 * env.minor_radius
     # far along the road, or R near the smallest double: no area, or an infinite scale
     if not (world_w and world_h and math.isfinite(scale := min(WIDTH / world_w,
@@ -65,11 +66,11 @@ def render_svg(inst: Instance, sched: Schedule | None = None,
     axis = Y(0.0)
     parts = [_tag("rect", x="0", y="0", width=WIDTH, height=HEIGHT, fill="#ffffff"),
              line("0", axis, WIDTH, axis, AXIS_COLOR, "1")]
-    deliveries = sched.deliveries if sched is not None else ()
+    order, starts, rets = (sched.order, sched.starts, sched.rets) if sched else ((), (), ())
 
     if show_ellipses:
-        for d in deliveries:
-            parts.append(_tag("ellipse", cx=X(d.start + env.focal_gap / 2.0), cy=axis,
+        for start in starts:
+            parts.append(_tag("ellipse", cx=X(start + env.focal_gap / 2.0), cy=axis,
                               rx=env.major_radius * scale, ry=env.minor_radius * scale,
                               fill="none", stroke=ELLIPSE_COLOR, stroke_width="1",
                               stroke_dasharray="4 3"))
@@ -81,19 +82,18 @@ def render_svg(inst: Instance, sched: Schedule | None = None,
                 parts.append(line(X(t), axis - 5.0, X(t), axis + 5.0, WINDOW_COLOR, "1.5"))
             parts.append(line(X(first), axis, X(last), axis, WINDOW_COLOR, "3", opacity="0.5"))
 
-    truck_end = max(max((d.ret for d in deliveries), default=inst.truck_start), hi)
+    truck_end = max(max(rets, default=inst.truck_start), hi)
     parts.append(line(X(inst.truck_start), axis, X(truck_end), axis, TRUCK_COLOR, "2.5"))
 
-    for d in deliveries:
-        p = inst.points[d.point]
+    for i, start, ret in zip(order, starts, rets):
         pts = " ".join(f"{_fmt(X(wx))},{_fmt(Y(wy))}"
-                       for wx, wy in ((d.start, 0.0), (p.x, p.y), (d.ret, 0.0)))
+                       for wx, wy in ((start, 0.0), (xs[i], ys[i]), (ret, 0.0)))
         parts.append(_tag("polyline", points=pts, fill="none", stroke=DRONE_COLOR,
                           stroke_width="1.5"))
 
-    for i, p in enumerate(inst.points):
-        parts.append(_tag("circle", cx=X(p.x), cy=Y(p.y), r="3", fill=POINT_COLOR))
-        parts.append(_tag("text", str(i), x=X(p.x) + 5.0, y=Y(p.y) - 5.0, font_size="11",
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        parts.append(_tag("circle", cx=X(x), cy=Y(y), r="3", fill=POINT_COLOR))
+        parts.append(_tag("text", str(i), x=X(x) + 5.0, y=Y(y) - 5.0, font_size="11",
                           font_family="monospace", fill=POINT_COLOR))
 
     return _tag("svg", "\n" + "\n".join(parts) + "\n", xmlns="http://www.w3.org/2000/svg",

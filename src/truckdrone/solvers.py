@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _flight_time, _land, return_position, start_window, window_arrays
+from .geometry import _flight_time, _land, return_position, window_arrays
 from .model import Instance, Schedule, earliest_start_pack
 from .proper import NotProperError, check_proper
 
@@ -227,23 +227,24 @@ def solve_exact(inst: Instance, max_points: int = 10) -> Schedule:
     n = len(inst)
     if n > max_points:
         raise BudgetError(f"instance has {n} points, budget is {max_points}")
-    windows = [start_window(p, inst.v, inst.R) for p in inst.points]
+    v, R, points = inst.v, inst.R, list(zip(inst.xs.tolist(), inst.ys.tolist()))
+    es, ls, _, _, in_band = (w.tolist() for w in window_arrays(inst.xs, inst.ys, v, R))
 
     def dfs(prefix: tuple[int, ...], left: tuple[int, ...], cur: float, best: tuple) -> tuple:
         # best is (length, completion, order) of the best schedule found so far
         if len(prefix) > best[0] or (len(prefix) == best[0] and cur < best[1]):
             best = (len(prefix), cur, prefix)
-        if len(prefix) + sum(cur <= windows[i].ls for i in left) < best[0]:
+        if len(prefix) + sum(cur <= ls[i] for i in left) < best[0]:
             return best
         for k, i in enumerate(left):
-            start = max(cur, windows[i].es)
-            if start <= windows[i].ls:
-                ret = return_position(start, inst.points[i], inst.v, inst.R)
+            start = max(cur, es[i])
+            if start <= ls[i]:
+                ret = return_position(start, points[i], v, R)
                 best = dfs(prefix + (i,), left[:k] + left[k + 1:], ret, best)
         return best
 
-    in_band = tuple(i for i, w in enumerate(windows) if w is not None)
-    _, _, order = dfs((), in_band, inst.truck_start, (0, inst.truck_start, ()))
+    left = tuple(i for i, ok in enumerate(in_band) if ok)
+    _, _, order = dfs((), left, inst.truck_start, (0, inst.truck_start, ()))
     sched = earliest_start_pack(inst, order)
     assert sched is not None
     return sched

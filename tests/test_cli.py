@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import truckdrone
+from truckdrone import cli
 from truckdrone.cli import (
     CliError,
     emit_json,
@@ -301,6 +302,27 @@ class TestSolveAndVerify:
         assert (res.returncode, res.stderr) == (0, "")
         assert res.stdout.count(WINDOW_COLOR) == 3  # two ticks and a bar
 
+    def test_point_at_the_largest_double_prints_no_warning(self, tmp_path):
+        # verify's slack rounds to inf beside the largest double
+        inst = tmp_path / "max_x.json"
+        inst.write_text(json.dumps({"v": 2.0, "R": 10.0, "points": [
+            {"x": 1.7976931348623157e308, "y": 1.0}, {"x": 2.0, "y": 1.0}]}))
+        res = run_cli("solve", "--algo", "greedy", "--input", str(inst))
+        assert res.returncode == 0
+        [line] = res.stderr.splitlines()
+        assert line.startswith("greedy: count=2 completion=")
+
+    def test_band_whose_height_underflows_to_zero_prints_no_warning(self, tmp_path):
+        # at R = 5e-324 the band's half-height is 0, so every point is out of band
+        inst = tmp_path / "tiny.json"
+        inst.write_text(json.dumps({"v": 2.0, "R": 5e-324, "points": [{"x": 0.0, "y": 1.0}]}))
+        for algo, extra in (("greedy", ()), ("dp", ("--allow-nonproper",))):
+            res = run_cli("solve", "--algo", algo, "--input", str(inst), *extra)
+            assert res.returncode == 0
+            assert res.stderr.splitlines() == [f"{algo}: count=0 completion=0"]
+        res = run_cli("compare", "--input", str(inst), "--algos", "greedy,dp,exact")
+        assert (res.returncode, res.stderr) == (0, "")
+
     def test_empty_instance_solves_to_zero(self, tmp_path):
         inst = tmp_path / "empty.json"
         inst.write_text(json.dumps({"v": 2.0, "R": 10.0, "points": []}))
@@ -470,6 +492,73 @@ class TestCompare:
     def test_unknown_algo(self, proper_file):
         assert run_cli("compare", "--input", str(proper_file),
                        "--algos", "sorcery").returncode == 2
+
+
+def _finite_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+# v * v overflows, so the band's half-height is NaN and the flight NaN
+NAN_RETURN = {"v": 1.7976931348623157e308, "R": 10.0,
+              "points": [{"x": 0.0, "y": 1.0}, {"x": 3.0, "y": -2.0}]}
+# R / 2 and the heights are so large that the flight's squares overflow
+INF_RETURN = {"v": 2.0, "R": 1e300, "points": [{"x": 0.0, "y": 1e200},
+                                                {"x": 5e299, "y": -3e299}]}
+# v * a overflows in every flight, so dp and exact land at NaN
+FAST_DRONE = {"v": 8e307, "R": 10.0, "points": [{"x": 0.0, "y": 1.0}, {"x": 3.0, "y": -2.0}]}
+
+
+class TestUnconfirmedSchedules:
+    """A schedule that verify calls infeasible, or whose completion is not
+    finite, is a refusal: solve exits 1, compare notes it."""
+
+    @pytest.mark.parametrize("doc", [NAN_RETURN, INF_RETURN], ids=["nan", "inf"])
+    def test_solve_and_compare_write_finite_json(self, tmp_path, doc):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        res = run_cli("solve", "--algo", "exact", "--input", str(inst))
+        assert res.returncode in (0, 1)
+        if res.returncode == 0:
+            assert _finite_json(res.stdout)["count"] >= 0
+        else:
+            assert res.stdout == "" and "exact refused" in res.stderr
+        res = run_cli("compare", "--json", "--input", str(inst), "--algos", "greedy,dp,exact")
+        assert res.returncode == 0
+        assert [r["algo"] for r in _finite_json(res.stdout)["rows"]] == ["greedy", "dp", "exact"]
+
+    def test_non_finite_completion_is_refused(self, tmp_path):
+        inst, out = tmp_path / "fast.json", tmp_path / "sched.json"
+        inst.write_text(json.dumps(FAST_DRONE))
+        for algo in ("dp", "exact"):
+            res = run_cli("solve", "--algo", algo, "--input", str(inst), "--output", str(out))
+            assert res.returncode == 1 and not out.exists()
+            assert (f"{algo} refused: verify cannot confirm the schedule (completion nan)"
+                    in res.stderr)
+        res = run_cli("compare", "--json", "--input", str(inst), "--algos", "dp,exact")
+        assert res.returncode == 0
+        rows = _finite_json(res.stdout)["rows"]
+        assert [(r["count"], r["completion"], r["note"]) for r in rows] == [
+            (None, None, "unconfirmed")] * 2
+
+    def test_infeasible_schedule_is_refused(self, tmp_path, proper_file):
+        # a solver whose launch comes after the point's window has closed
+        late = Schedule._from_columns([0], [1e6], [1e6 + 1.0])
+        out = tmp_path / "sched.json"
+        with mock.patch.dict(cli.SOLVERS, greedy=lambda inst, args: late):
+            code, err = _run_main("solve", "--algo", "greedy", "--input", str(proper_file),
+                                  "--output", str(out))
+            assert (code, not out.exists()) == (1, True)
+            assert err == ("greedy refused: verify cannot confirm the schedule "
+                           "(entry 0: start-after-ls)\n")
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main(["compare", "--json", "--input", str(proper_file),
+                             "--algos", "greedy"]) == 0
+        [row] = _finite_json(stdout.getvalue())["rows"]
+        assert (row["count"], row["completion"], row["note"]) == (None, None, "unconfirmed")
 
 
 class TestRender:

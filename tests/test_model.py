@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truckdrone.cli import instance_to_json, load_instance, load_schedule, schedule_to_json
-from truckdrone.generators import gen_random_band, gen_random_proper
+from truckdrone.generators import (ThreePartitionSpec, gen_greedy_tightness, gen_random_band,
+                                   gen_random_proper, gen_three_partition)
 from truckdrone.geometry import INFEASIBLE, _land, return_position, start_window
 from truckdrone.model import (
     DUPLICATE_POINT,
@@ -30,7 +31,8 @@ from truckdrone.model import (
     verify_schedule,
 )
 from truckdrone.proper import check_proper
-from truckdrone.solvers import solve_dp_proper, solve_greedy
+from truckdrone.render import render_svg
+from truckdrone.solvers import solve_dp_proper, solve_exact, solve_greedy
 
 
 def minor_radius(v, R):
@@ -328,7 +330,9 @@ class TestColumns:
             verify_schedule(inst, sched)
             check_proper(inst)
             assert earliest_start_pack(inst, sched.order) == sched
+            render_svg(inst, sched, show_windows=True, show_ellipses=True)
         verify_schedule(proper, solve_dp_proper(proper))
+        assert solve_exact(proper, max_points=12).count == solve_dp_proper(proper).count
         for inst in (proper, band):
             assert "points" not in vars(inst)
         assert proper.points[0].x == proper.xs[0] and "points" in vars(proper)
@@ -337,15 +341,34 @@ class TestColumns:
         # greedy, pack, verify and the writer read the columns; the reader fills them
         inst = gen_random_proper(12, 2.0, 10.0, 4)
         path = tmp_path / "sched.json"
-        scheds = [solve_greedy(inst), solve_dp_proper(inst)]
-        for sched in scheds[:2]:
+        scheds = [solve_greedy(inst), solve_dp_proper(inst), solve_exact(inst, max_points=12)]
+        for sched in scheds[:3]:
             path.write_text(schedule_to_json(sched))
             scheds.append(load_schedule(str(path)))
         for sched in scheds:
             verify_schedule(inst, sched)
+            render_svg(inst, sched, show_windows=True, show_ellipses=True)
             assert "deliveries" not in vars(sched)
         assert scheds[0].deliveries[0].point == scheds[0].order[0]
         assert "deliveries" in vars(scheds[0])
+
+    def test_cold_paths_build_no_records(self, monkeypatch):
+        # the generators, the exact search, pack and render read the columns
+        built = []
+        for cls in (DeliveryPoint, Delivery):
+            def counted(self, *args, _cls=cls, _init=cls.__init__):
+                built.append(_cls.__name__)
+                _init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counted)
+        part, _ = gen_three_partition(ThreePartitionSpec((1, 1, 1)))
+        trap, _ = gen_greedy_tightness(3, 2.0, 10.0)  # certified by greedy, pack and exact
+        for inst in (part, trap):
+            sched = solve_exact(inst)
+            assert earliest_start_pack(inst, sched.order) == sched
+            render_svg(inst, sched, show_windows=True, show_ellipses=True)
+        assert built == []
+        assert trap.points[0].x == trap.xs[0] and sched.deliveries[0].point == sched.order[0]
+        assert built == ["DeliveryPoint"] * len(trap) + ["Delivery"] * sched.count
 
 
 class TestVerifySchedule:

@@ -485,12 +485,14 @@ def _reference_solve_exact(inst, max_points=10):
 
 
 def _recorded(search, inst):
-    """search's schedule and the arguments of every landing its DFS makes."""
+    """search's schedule and the arguments of every landing its DFS makes,
+    the point recorded by value as (x, y)."""
     calls = []
 
-    def landing(*args):
-        calls.append(args)
-        return real(*args)
+    def landing(s, p, v, R):
+        x, y = (p.x, p.y) if hasattr(p, "x") else p
+        calls.append((s, (float(x), float(y)), v, R))
+        return real(s, p, v, R)
 
     real = solvers.return_position
     with pytest.MonkeyPatch.context() as patch:

@@ -10,7 +10,9 @@ read the files earlier ones wrote: instances from `gen`, schedules from
 `solve`.  The corpus covers `gen` of every kind over several seeds, `solve`
 with greedy, dp (on up to 150 points, some out of band) and exact,
 `verify` and `check-proper` on good and malformed files, `compare --json`
-and `render` with every flag pair.
+and `render` with every flag pair, and instances at the edges of double
+precision (a band that underflows to 0, flights that overflow to inf or NaN,
+a point at the largest double).
 
 Before comparing, the temporary directory reads `<work>`, the tree's own
 path `<src>`, and every `wall_s` value `<wall_s>`.  Exit status: 0 when
@@ -69,6 +71,20 @@ FIXED_FILES = {
                             '{"x": 2.0, "y": 1.0}]}' % (int(sys.float_info.max) + 1)),
     # out-of-band columns in a DP table of several column blocks
     "lifted150.json": _lifted_band(),
+    # a drone so fast that 2v and v * v overflow: the band's half-height is NaN
+    "nan_return.json": ('{"v": 1.7976931348623157e308, "R": 10.0, "points": '
+                        '[{"x": 0.0, "y": 1.0}, {"x": 3.0, "y": -2.0}]}'),
+    # a range so large that the flight's squares overflow: a landing at inf
+    "inf_return.json": ('{"v": 2.0, "R": 1e300, "points": [{"x": 0.0, "y": 1e200}, '
+                        '{"x": 5e299, "y": -3e299}]}'),
+    # a point at the largest double, where verify's slack overflows
+    "max_x.json": ('{"v": 2.0, "R": 10.0, "points": [{"x": 1.7976931348623157e308, "y": 1.0}, '
+                   '{"x": 2.0, "y": 1.0}]}'),
+    # a range so small that the band's half-height underflows to 0
+    "tiny_R.json": '{"v": 2.0, "R": 5e-324, "points": [{"x": 0.0, "y": 1.0}]}',
+    # a drone so fast that v * a overflows: dp and exact land at NaN
+    "fast_drone.json": ('{"v": 8e307, "R": 10.0, "points": [{"x": 0.0, "y": 1.0}, '
+                        '{"x": 3.0, "y": -2.0}]}'),
 }
 
 
@@ -131,7 +147,8 @@ def corpus() -> list[tuple[str, ...]]:
     # a triple sum, and a spacing n**-(c+2), past the float range
     cmds.append(("gen", "partition", "--values", ",".join(["1" + "0" * 310] * 3)))
     cmds.append(("gen", "partition", "--c", "-100000"))
-    for name in ("far", "empty", "huge_scale", "thin_band"):
+    for name in ("far", "empty", "huge_scale", "thin_band", "nan_return", "inf_return", "max_x",
+                 "tiny_R", "fast_drone"):
         cmds += _instance_commands(name, False)
     for bad in ("bad_json", "missing_R", "nan", "on_axis", "int_past_range", "no_such_file"):
         cmds.append(("solve", "--algo", "greedy", "--input", f"{bad}.json"))
