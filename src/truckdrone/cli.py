@@ -139,13 +139,10 @@ def load_instance(path: str) -> Instance:
         raise CliError(f"{path}: 'points' must be an array")
     if all(type(e) is dict and e.keys() == _XY for e in entries):  # the column fast path
         xs, ys = [e["x"] for e in entries], [e["y"] for e in entries]
-        kinds = {*map(type, xs), *map(type, ys)}
-        # an int past the float range would round into it; _need_number refuses it
-        if kinds <= {float, int} and (
-                int not in kinds or max(map(abs, xs + ys)) <= sys.float_info.max):
+        if {*map(type, xs), *map(type, ys)} <= {float, int}:
             try:
                 return Instance._from_columns(v, R, xs, ys, truck_start=s0)
-            except ValueError:
+            except (ValueError, OverflowError):  # the latter: an int past any float
                 pass  # the checks below name the first bad field, in file order
     pts = []
     for i, entry in enumerate(entries):
@@ -228,10 +225,9 @@ def _solve(algo: str, inst: Instance, args):  # (schedule, completion, wall_s, r
         return None, None, time.perf_counter() - t0, (note, str(e))  # refusal: (note, reason)
     wall = time.perf_counter() - t0
     report = verify_schedule(inst, sched)  # a schedule it cannot confirm is refused too
-    if report.feasible and math.isfinite(report.completion):
+    if report.feasible:
         return sched, report.completion, wall, None
-    why = (", ".join(f"entry {j}: {r}" for j, r in report.violations)
-           or f"completion {report.completion}")
+    why = ", ".join(f"entry {j}: {r}" for j, r in report.violations)
     return None, None, wall, ("unconfirmed", f"verify cannot confirm the schedule ({why})")
 
 

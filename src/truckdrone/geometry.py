@@ -24,11 +24,18 @@ def _point_xy(d) -> tuple[float, float]:
     return x, y
 
 
-def _check_params(v: float, R: float) -> None:
+def _check_params(v: float, R: float, scale: float | None = None) -> None:
+    """Refuse v <= 1, R <= 0, and the outside of the numeric domain: R <= 2**400 and
+    scale <= 2**40 * R / v (model.instance_scale, else max(1, R)).  In it no product
+    of two lengths overflows, m * m is normal, and R/v spans 2**12 ulps of the scale."""
     if not v > 1.0:
         raise ValueError(f"drone speed must exceed truck speed 1, got v={v}")
     if not R > 0.0:
         raise ValueError(f"flying range must be positive, got R={R}")
+    scale = max(1.0, R) if scale is None else scale
+    if not (R <= 2.0**400 and scale <= 2.0**40 * R / v):
+        raise ValueError(f"outside the numeric domain R <= 2**400 and scale <= 2**40 * R / v, "
+                         f"got v={v}, R={R}, scale={scale}")
 
 
 def _minor_radius(v: float, R: float) -> float:
@@ -89,7 +96,7 @@ def start_window(d, v: float, R: float) -> StartWindow | None:
     m = _minor_radius(v, R)
     if abs(y) > m:
         return None
-    half = M * math.sqrt(max(0.0, 1.0 - ((y * y) / (m * m) if m * m else (y / m) ** 2)))
+    half = M * math.sqrt(max(0.0, 1.0 - (y * y) / (m * m)))
     gap = R / v
     es = x - gap / 2.0 - half
     ls = x - gap / 2.0 + half
@@ -173,10 +180,7 @@ def _half_width(y, v: float, R: float):
     """Start-window half-width at height y (start_window's half_width); arrays work too."""
     m = _minor_radius(v, R)
     y = np.minimum(np.abs(y), m)  # |y| in band; far out of it no square overflows
-    if not m:  # m underflowed to 0, so every point is out of band: a placeholder 0
-        return y
-    ratio = (y * y) / (m * m) if m * m else (y / m) ** 2  # (y/m)^2 where m * m underflows
-    return (R / 2.0) * np.sqrt(np.maximum(0.0, 1.0 - ratio))
+    return (R / 2.0) * np.sqrt(np.maximum(0.0, 1.0 - (y * y) / (m * m)))
 
 
 def window_arrays(xs, ys, v: float, R: float):

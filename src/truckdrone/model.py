@@ -91,12 +91,12 @@ class Instance(_Record):
         for name, value in fields.items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        _check_params(fields["v"], fields["R"])
         xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
         if not (np.isfinite(xs).all() and np.isfinite(ys).all() and ys.all()):
             tuple(map(DeliveryPoint, xs.tolist(), ys.tolist()))  # names the first bad point
         xs.flags.writeable = ys.flags.writeable = False
         self.__dict__.update(fields, xs=xs, ys=ys)
+        _check_params(self.v, self.R, instance_scale(self))
 
     @cached_property
     def points(self) -> tuple[DeliveryPoint, ...]:
@@ -165,8 +165,11 @@ class FeasibilityReport:
 
 
 def instance_scale(inst: Instance) -> float:
-    """Magnitude that turns verify_schedule's relative tolerance into an absolute one."""
-    return float(np.abs(np.concatenate(([1.0, inst.R, inst.truck_start], inst.xs, inst.ys))).max())
+    """max(1, R, |truck_start|, every |x|), which bounds the numeric domain and scales
+    verify_schedule's tolerance; a height counts at most as the band's half-height,
+    which is below R/2, so none raises it."""
+    xs = inst.xs
+    return float(max(1.0, inst.R, abs(inst.truck_start), -xs.min(initial=0.0), xs.max(initial=0.0)))
 
 
 def _check_tol(tol: float) -> None:
@@ -201,10 +204,9 @@ def verify_schedule(inst: Instance, sched: Schedule, tol: float = DEFAULT_TOL) -
     windows = es, ls, er, lr, in_band = window_arrays(xs, ys, inst.v, inst.R)
     # a start within tolerance past the window still lands from ls
     ret = return_positions(np.minimum(starts, ls), xs, ys, inst.v, inst.R, windows)
-    with np.errstate(over="ignore"):  # near the largest double the slack rounds to inf
-        late = ~in_band | (starts > ls + slack)
-        ret[late] = INFEASIBLE
-        early = starts < np.concatenate(([inst.truck_start], ret[:-1])) - slack
+    late = ~in_band | (starts > ls + slack)
+    ret[late] = INFEASIBLE
+    early = starts < np.concatenate(([inst.truck_start], ret[:-1])) - slack
     dup = np.zeros(len(order), dtype=bool)
     if len(set(order)) < len(order):
         seen: set[int] = set()  # set.add returns None, so only repeats read True

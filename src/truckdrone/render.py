@@ -24,7 +24,7 @@ ELLIPSE_COLOR = "#aaaaaa"
 
 
 def _fmt(value: float) -> str:
-    if not math.isfinite(value):  # a huge scale can overflow a point far out of band
+    if not math.isfinite(value):  # a far out-of-band point or launch can overflow
         raise ValueError(f"cannot draw: a coordinate is {value} at double precision")
     return f"{value + 0.0:.2f}"
 
@@ -49,10 +49,7 @@ def render_svg(inst: Instance, sched: Schedule | None = None,
     lo = min(xs, default=inst.truck_start) - inst.R
     hi = max(xs, default=inst.truck_start) + inst.R
     world_w, world_h = hi - lo, 2.0 * env.minor_radius
-    # far along the road, or R near the smallest double: no area, or an infinite scale
-    if not (world_w and world_h and math.isfinite(scale := min(WIDTH / world_w,
-                                                                HEIGHT / world_h))):
-        raise ValueError(f"cannot draw: the picture is {world_w} by {world_h} at double precision")
+    scale = min(WIDTH / world_w, HEIGHT / world_h)
 
     def X(wx: float) -> float:
         return (WIDTH - world_w * scale) / 2.0 + (wx - lo) * scale

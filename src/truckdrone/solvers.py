@@ -32,11 +32,11 @@ def solve_greedy(inst: Instance) -> Schedule:
     An event sweep over the truck position s, which advances to each
     landing.  Points join one x-sorted list in order of es (then index)
     once es <= s, and leave it when served or more than R/2 behind s, as
-    ls <= x + R/2 - R/(2v) has closed (while R/v spans some ulps of s).
-    The list is walked outward from s, lowest lower bound first, until the
-    bound passes the earliest landing plus the tie allowance; a closed
-    point met (ls < s) is dropped, one whose height bound passes it
-    skipped (the bounds hold in floating point for R > 1e-140).  With
+    ls <= x + R/2 - R/(2v) has closed.  The list is walked outward from s,
+    lowest lower bound first, until the bound passes the earliest landing
+    plus the tie allowance; a closed point met (ls < s) is dropped, one
+    whose height bound passes it skipped.  Both rules hold in floating
+    point in the instance's numeric domain (geometry._check_params).  With
     none landed, the truck drives to the next opening.
     Among landings within GREEDY_TIE_TOL * R of the earliest, the leftmost
     point wins, then the lowest index.

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,6 @@ from truckdrone.cli import (
 from truckdrone.generators import gen_greedy_tightness, gen_random_band
 from truckdrone.model import Delivery, Instance, Schedule
 from truckdrone.proper import check_proper
-from truckdrone.render import WINDOW_COLOR
 
 # the child imports the same package as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(truckdrone.__file__)))
@@ -52,6 +52,27 @@ def assert_usage_error(res, *fragments):
     assert "Traceback" not in res.stderr
     for text in fragments:
         assert text in res.stderr
+
+
+DOMAIN_ERROR = "outside the numeric domain R <= 2**400 and scale <= 2**40 * R / v"
+
+
+def assert_refused_at_load(tmp_path, doc):
+    """Every command that reads the instance file exits 2 on it with the
+    domain's one error line; no numpy warning or floating-point error arises."""
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+    inst.write_text(json.dumps(doc))
+    sched.write_text(json.dumps({"deliveries": [], "count": 0}))
+    commands = [("solve", "--algo", algo, "--input") for algo in ("greedy", "dp", "exact")]
+    commands += [("solve", "--algo", "dp", "--allow-nonproper", "--input"),
+                 ("verify", "--schedule", str(sched), "--instance"), ("check-proper", "--input"),
+                 ("compare", "--json", "--algos", "greedy,dp,exact", "--input"),
+                 ("render", "--show-windows", "--show-ellipses", "--instance")]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for command in commands:
+            code, err = _run_main(*command, str(inst))
+            assert (code, err.split(", got ")[0]) == (2, f"error: {inst}: {DOMAIN_ERROR}")
 
 
 @pytest.fixture()
@@ -285,43 +306,33 @@ class TestSolveAndVerify:
             ver = run_cli("verify", "--instance", str(inst), "--schedule", str(sched))
             assert (ver.returncode, ver.stderr) == (0, "")
 
+    @pytest.mark.parametrize("height", [1e12, -1e300])
+    def test_far_out_of_band_point_leaves_the_slack(self, tmp_path, height):
+        # two launches at one abscissa overlap, however high a third point lies
+        inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+        inst.write_text(json.dumps({"v": 2.0, "R": 10.0, "points": [
+            {"x": 1.0, "y": 2.0}, {"x": 1.5, "y": -2.0}, {"x": 9.0, "y": height}]}))
+        sched.write_text(json.dumps({"deliveries": [
+            {"point": 0, "start": 0.0, "return": 0.0},
+            {"point": 1, "start": 0.0, "return": 0.0}], "count": 2}))
+        res = run_cli("verify", "--instance", str(inst), "--schedule", str(sched))
+        assert res.returncode == 1
+        assert json.loads(res.stdout)["violations"] == [
+            {"entry": 1, "reason": "overlap-with-previous"}]
+
     def test_band_so_thin_that_its_square_underflows(self, tmp_path):
-        # at R = 1e-300 the band's half-height squared underflows to 0; the
-        # point is in band, so every solver serves it and nothing warns
-        inst = tmp_path / "thin.json"
-        inst.write_text(json.dumps({"v": 2, "R": 1e-300, "points": [{"x": 0.0, "y": 1e-301}]}))
-        for algo, extra in (("greedy", ()), ("dp", ()), ("dp", ("--allow-nonproper",)),
-                            ("exact", ())):
-            res = run_cli("solve", "--algo", algo, "--input", str(inst), *extra)
-            assert res.returncode == 0
-            [line] = res.stderr.splitlines()
-            assert line.startswith(f"{algo}: count=1 completion=")
-        res = run_cli("check-proper", "--input", str(inst))
-        assert (res.returncode, res.stderr) == (0, "")
-        res = run_cli("render", "--instance", str(inst), "--show-windows")
-        assert (res.returncode, res.stderr) == (0, "")
-        assert res.stdout.count(WINDOW_COLOR) == 3  # two ticks and a bar
+        # R/v = 5e-301 is far below 2**-40 times the scale 1
+        assert_refused_at_load(tmp_path, {"v": 2, "R": 1e-300,
+                                          "points": [{"x": 0.0, "y": 1e-301}]})
 
     def test_point_at_the_largest_double_prints_no_warning(self, tmp_path):
-        # verify's slack rounds to inf beside the largest double
-        inst = tmp_path / "max_x.json"
-        inst.write_text(json.dumps({"v": 2.0, "R": 10.0, "points": [
-            {"x": 1.7976931348623157e308, "y": 1.0}, {"x": 2.0, "y": 1.0}]}))
-        res = run_cli("solve", "--algo", "greedy", "--input", str(inst))
-        assert res.returncode == 0
-        [line] = res.stderr.splitlines()
-        assert line.startswith("greedy: count=2 completion=")
+        # the scale 1.8e308 is past 2**40 * R / v
+        assert_refused_at_load(tmp_path, {"v": 2.0, "R": 10.0, "points": [
+            {"x": 1.7976931348623157e308, "y": 1.0}, {"x": 2.0, "y": 1.0}]})
 
     def test_band_whose_height_underflows_to_zero_prints_no_warning(self, tmp_path):
-        # at R = 5e-324 the band's half-height is 0, so every point is out of band
-        inst = tmp_path / "tiny.json"
-        inst.write_text(json.dumps({"v": 2.0, "R": 5e-324, "points": [{"x": 0.0, "y": 1.0}]}))
-        for algo, extra in (("greedy", ()), ("dp", ("--allow-nonproper",))):
-            res = run_cli("solve", "--algo", algo, "--input", str(inst), *extra)
-            assert res.returncode == 0
-            assert res.stderr.splitlines() == [f"{algo}: count=0 completion=0"]
-        res = run_cli("compare", "--input", str(inst), "--algos", "greedy,dp,exact")
-        assert (res.returncode, res.stderr) == (0, "")
+        assert_refused_at_load(tmp_path, {"v": 2.0, "R": 5e-324,
+                                          "points": [{"x": 0.0, "y": 1.0}]})
 
     def test_empty_instance_solves_to_zero(self, tmp_path):
         inst = tmp_path / "empty.json"
@@ -442,6 +453,16 @@ class TestGen:
         assert_usage_error(res, "error: ", "past the float range")
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("args", [
+        ("random-proper", "--R", "5e-324"), ("random", "--R", "5e-324"),
+        ("random", "--v", "1e300"), ("adversarial", "--R", "1e-300")])
+    def test_parameters_outside_the_domain_are_usage_errors(self, args):
+        # refused before sampling: no warning, and no failure of a later step
+        res = run_cli("gen", *args)
+        assert (res.returncode, res.stdout) == (2, "")
+        [line] = res.stderr.splitlines()
+        assert line.startswith(f"error: {DOMAIN_ERROR}, got ")
+
     def test_adversarial_writes_certificate(self, tmp_path):
         inst = tmp_path / "trap.json"
         res = run_cli("gen", "adversarial", "--k", "3", "--out", str(inst))
@@ -512,36 +533,16 @@ FAST_DRONE = {"v": 8e307, "R": 10.0, "points": [{"x": 0.0, "y": 1.0}, {"x": 3.0,
 
 
 class TestUnconfirmedSchedules:
-    """A schedule that verify calls infeasible, or whose completion is not
-    finite, is a refusal: solve exits 1, compare notes it."""
+    """A schedule that verify calls infeasible is a refusal: solve exits 1,
+    compare notes it.  The instances whose flights overflowed to NaN or inf
+    lie outside the numeric domain, so no command gets past loading them."""
 
     @pytest.mark.parametrize("doc", [NAN_RETURN, INF_RETURN], ids=["nan", "inf"])
     def test_solve_and_compare_write_finite_json(self, tmp_path, doc):
-        inst = tmp_path / "inst.json"
-        inst.write_text(json.dumps(doc))
-        res = run_cli("solve", "--algo", "exact", "--input", str(inst))
-        assert res.returncode in (0, 1)
-        if res.returncode == 0:
-            assert _finite_json(res.stdout)["count"] >= 0
-        else:
-            assert res.stdout == "" and "exact refused" in res.stderr
-        res = run_cli("compare", "--json", "--input", str(inst), "--algos", "greedy,dp,exact")
-        assert res.returncode == 0
-        assert [r["algo"] for r in _finite_json(res.stdout)["rows"]] == ["greedy", "dp", "exact"]
+        assert_refused_at_load(tmp_path, doc)
 
     def test_non_finite_completion_is_refused(self, tmp_path):
-        inst, out = tmp_path / "fast.json", tmp_path / "sched.json"
-        inst.write_text(json.dumps(FAST_DRONE))
-        for algo in ("dp", "exact"):
-            res = run_cli("solve", "--algo", algo, "--input", str(inst), "--output", str(out))
-            assert res.returncode == 1 and not out.exists()
-            assert (f"{algo} refused: verify cannot confirm the schedule (completion nan)"
-                    in res.stderr)
-        res = run_cli("compare", "--json", "--input", str(inst), "--algos", "dp,exact")
-        assert res.returncode == 0
-        rows = _finite_json(res.stdout)["rows"]
-        assert [(r["count"], r["completion"], r["note"]) for r in rows] == [
-            (None, None, "unconfirmed")] * 2
+        assert_refused_at_load(tmp_path, FAST_DRONE)
 
     def test_infeasible_schedule_is_refused(self, tmp_path, proper_file):
         # a solver whose launch comes after the point's window has closed
@@ -614,32 +615,32 @@ class TestRender:
         assert res.stdout.count("<circle") == 6
 
     @pytest.mark.parametrize("doc", [
-        # min(x) - R and max(x) + R round to one double: no width
+        # min(x) - R and max(x) + R would round to one double: no width
         {"v": 2, "R": 1e-6, "points": [{"x": 1e12, "y": 1e-7}]},
-        # the band's half-height R/(2v)*sqrt(v^2 - 1) rounds to 0: no height
+        # the band's half-height R/(2v)*sqrt(v^2 - 1) would round to 0: no height
         {"v": 2, "R": 5e-324, "points": []},
     ])
     def test_picture_without_area_exits_2(self, tmp_path, doc):
-        inst = tmp_path / "flat.json"
-        inst.write_text(json.dumps(doc))
-        assert run_cli("solve", "--algo", "greedy", "--input", str(inst)).returncode == 0
-        assert_usage_error(run_cli("render", "--instance", str(inst)),
-                           "cannot draw", "at double precision")
+        # both lie outside the numeric domain, so no picture is attempted
+        assert_refused_at_load(tmp_path, doc)
 
     def test_picture_of_subnormal_size_exits_2(self, tmp_path):
-        # a picture a few subnormals wide and high has an infinite scale
-        inst = tmp_path / "tiny.json"
-        inst.write_text(json.dumps({"v": 2, "R": 1e-320, "points": [{"x": 0.0, "y": 1e-300}]}))
-        res = run_cli("render", "--instance", str(inst))
-        assert_usage_error(res, "cannot draw: the picture is 2e-320 by", "at double precision")
-        assert res.stdout == ""
+        assert_refused_at_load(tmp_path, {"v": 2, "R": 1e-320,
+                                          "points": [{"x": 0.0, "y": 1e-300}]})
 
     def test_coordinate_overflow_exits_2(self, tmp_path):
-        # the scale is finite but huge, so a point far out of band draws at -inf
-        inst = tmp_path / "huge.json"
-        inst.write_text(json.dumps({"v": 2, "R": 1e-300, "points": [{"x": 0.0, "y": 1e10}]}))
-        res = run_cli("render", "--instance", str(inst))
-        assert_usage_error(res, "cannot draw: a coordinate is -inf at double precision")
+        # a scale so huge that a point far out of band would draw at -inf is
+        # refused at load; a launch near the largest double in a schedule
+        # file still overflows the picture of an instance in the domain
+        assert_refused_at_load(tmp_path, {"v": 2, "R": 1e-300,
+                                          "points": [{"x": 0.0, "y": 1e10}]})
+        inst, sched = tmp_path / "two.json", tmp_path / "far_sched.json"
+        inst.write_text(json.dumps(_GOOD_INSTANCE))
+        sched.write_text(json.dumps({"deliveries": [
+            {"point": 0, "start": 1.7976931348623157e308, "return": 1.7976931348623157e308}],
+            "count": 1}))
+        res = run_cli("render", "--instance", str(inst), "--schedule", str(sched))
+        assert_usage_error(res, "cannot draw: a coordinate is inf at double precision")
         assert res.stdout == ""
 
     def test_empty_instance_render(self, tmp_path):
@@ -661,21 +662,31 @@ _FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from(_EDGE_FLOATS))
 
 
-def _shifted_floats(draw):
-    x, shift = draw(_FLOATS), draw(st.sampled_from([0.0, 1e3, 1e7]))
+def _shifted_floats(draw, bound=math.inf):
+    """An edge or drawn float, shifted along the road; |value| <= bound."""
+    x = draw(_FLOATS.filter(lambda x: abs(x) <= bound))
+    shift = draw(st.sampled_from([s for s in (0.0, 1e3, 1e7) if abs(x) + s <= bound]))
     return x + shift if shift else x  # -0.0 + 0.0 would lose the sign
 
 
 @st.composite
+def _domain_params(draw):
+    """(v, R, bound): v and R in the numeric domain, and the largest |x| and
+    |truck_start| it admits, 2**40 * R / v.  Heights are not bounded."""
+    v = draw(st.one_of(st.floats(min_value=1.0, max_value=2.0**40, exclude_min=True),
+                       st.sampled_from([1.0000000000000002, 2.0, 2.0**40])))
+    R = draw(st.one_of(st.floats(min_value=v * 2.0**-40, max_value=2.0**400),
+                       st.sampled_from([v * 2.0**-40, 10.0, 2.0**400])))
+    return v, R, 2.0**40 * R / v
+
+
+@st.composite
 def _instances(draw):
-    v = draw(st.one_of(st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
-                       st.sampled_from([1.0000000000000002, 2.0, 1.7976931348623157e308])))
-    R = draw(st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-                       st.sampled_from([5e-324, 1e-300, 10.0])))
+    v, R, bound = draw(_domain_params())
     n = draw(st.integers(0, 5))
     ys = draw(st.lists(_FLOATS.filter(lambda y: y != 0.0), min_size=n, max_size=n))
-    return Instance(v, R, tuple((_shifted_floats(draw), y) for y in ys),
-                    truck_start=_shifted_floats(draw))
+    return Instance(v, R, tuple((_shifted_floats(draw, bound), y) for y in ys),
+                    truck_start=_shifted_floats(draw, bound))
 
 
 @st.composite
@@ -709,10 +720,10 @@ class TestJsonRoundTripProperties:
     def test_written_documents_reload_to_their_bytes(self, tmp_path_factory, data):
         # the file is written by emit_json, not by the writer under test
         n = data.draw(st.integers(0, 12))
-        doc = {"v": data.draw(st.sampled_from([1.5, 2.0, 1.7976931348623157e308])),
-               "R": data.draw(st.sampled_from([5e-324, 10.0])),
-               "truck_start": data.draw(_FLOATS),
-               "points": [{"x": data.draw(_FLOATS),
+        v, R, bound = data.draw(_domain_params())
+        abscissas = _FLOATS.filter(lambda x: abs(x) <= bound)
+        doc = {"v": v, "R": R, "truck_start": data.draw(abscissas),
+               "points": [{"x": data.draw(abscissas),
                            "y": data.draw(_FLOATS.filter(lambda y: y != 0.0))}
                           for _ in range(n)]}
         text = emit_json(doc)
@@ -983,16 +994,26 @@ class TestLoaderPaths:
     @settings(max_examples=200)
     @given(data=st.data())
     def test_paths_give_equal_instances(self, tmp_path_factory, data):
+        # an instance outside the numeric domain is refused by both alike
         n = data.draw(st.integers(0, 12))
-        doc = {"v": 2.0, "R": 10.0, "truck_start": data.draw(_FLOATS),
+        doc = {"v": 2.0, "R": data.draw(st.sampled_from([10.0, 2.0**400])),
+               "truck_start": data.draw(_FLOATS),
                "points": [{"x": data.draw(_FILE_NUMBERS),
                            "y": data.draw(_FILE_NUMBERS.filter(lambda y: y != 0))}
                           for _ in range(n)]}
         path = tmp_path_factory.mktemp("instance") / "inst.json"
         path.write_text(json.dumps(doc))
-        fast = load_instance(str(path))
-        with _per_entry_only():
-            slow = load_instance(str(path))
+        results = []
+        for reader in (contextlib.nullcontext(), _per_entry_only()):
+            with reader:
+                try:
+                    results.append(load_instance(str(path)))
+                except CliError as e:
+                    results.append(str(e))
+        fast, slow = results
+        if isinstance(fast, str):
+            assert fast == slow and DOMAIN_ERROR in fast
+            return
         assert fast == slow and repr(fast) == repr(slow)
         assert fast.xs.tobytes() == slow.xs.tobytes() and fast.ys.tobytes() == slow.ys.tobytes()
 

@@ -183,6 +183,13 @@ class TestInstance:
         inst = Instance(v=2.0, R=10.0, points=[(500.0, 1.0)], truck_start=-3.0)
         assert instance_scale(inst) == 500.0
         assert instance_scale(Instance(v=2.0, R=0.5)) == 1.0
+        assert instance_scale(Instance(v=2.0, R=10.0, points=[(-700.0, 1.0)])) == 700.0
+
+    @pytest.mark.parametrize("height", [1e12, -1e300])
+    def test_scale_counts_no_height_past_the_band(self, height):
+        # a height counts at most as the band's half-height, below R/2
+        inst = Instance(v=2.0, R=10.0, points=[(1.0, 2.0), (9.0, height)])
+        assert instance_scale(inst) == 10.0
 
 
 def _three_kinds(tmp_path, pairs, truck_start=0.0):
@@ -199,7 +206,8 @@ class TestInstanceIdentity:
     """Equality, hash and repr are those of the record (v, R, points,
     truck_start), whichever way the instance was built."""
 
-    @pytest.mark.parametrize("pairs", [[], [(1.0, 2.0)], [(-0.0, 3.0), (1e300, -5e-324)]])
+    # the last pair sits at the numeric domain's bound, 2**40 * R / v
+    @pytest.mark.parametrize("pairs", [[], [(1.0, 2.0)], [(-0.0, 3.0), (5.0 * 2.0**40, -5e-324)]])
     def test_three_kinds_agree(self, tmp_path, pairs):
         kinds = _three_kinds(tmp_path, pairs, truck_start=-1.5)
         key = (2.0, 10.0, tuple(DeliveryPoint(*p) for p in pairs), -1.5)
@@ -372,6 +380,14 @@ class TestColumns:
 
 
 class TestVerifySchedule:
+    @pytest.mark.parametrize("height", [1e12, -1e300])
+    def test_far_out_of_band_point_leaves_the_slack(self, height):
+        # two launches at one abscissa overlap, however high a third point lies
+        points = [(1.0, 2.0), (1.5, -2.0)]
+        sched = Schedule._from_columns([0, 1], [0.0, 0.0], [0.0, 0.0])
+        for inst in (Instance(2.0, 10.0, points), Instance(2.0, 10.0, points + [(9.0, height)])):
+            assert verify_schedule(inst, sched).violations == ((1, OVERLAP_PREVIOUS),)
+
     def test_empty_schedule(self):
         inst = Instance(v=2.0, R=10.0, truck_start=7.0)
         report = verify_schedule(inst, Schedule())

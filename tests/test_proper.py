@@ -389,7 +389,8 @@ class TestIntervalOrderCheck:
                 assert type(got) is bool and got == _per_point_interval_order(inst)
                 outcomes.append(got)
         assert outcomes.count(True) > 100 and outcomes.count(False) > 100
-        thin = Instance(2.0, 1e-300, [(0.0, 1e-301), (1e-300, -2e-301)])  # m * m underflows
+        # the thinnest band the numeric domain admits, R/v = 2**-40 at scale 1
+        thin = Instance(2.0, 2.0**-39, [(0.0, 1e-13), (2.0**-39, -2e-13)])
         assert interval_order_check(thin) is _per_point_interval_order(thin)
 
     def test_disjoint_windows(self):

@@ -10,9 +10,11 @@ read the files earlier ones wrote: instances from `gen`, schedules from
 `solve`.  The corpus covers `gen` of every kind over several seeds, `solve`
 with greedy, dp (on up to 150 points, some out of band) and exact,
 `verify` and `check-proper` on good and malformed files, `compare --json`
-and `render` with every flag pair, and instances at the edges of double
-precision (a band that underflows to 0, flights that overflow to inf or NaN,
-a point at the largest double).
+and `render` with every flag pair, and instances on both sides of the
+numeric domain's bounds: a point exactly at the scale 2**40 * R / v and
+one an ulp past it, and files at the edges of double precision (a band that
+underflows to 0, flights that would overflow to inf or NaN, a point at the
+largest double), which every command refuses at load.
 
 Before comparing, the temporary directory reads `<work>`, the tree's own
 path `<src>`, and every `wall_s` value `<wall_s>`.  Exit status: 0 when
@@ -85,6 +87,11 @@ FIXED_FILES = {
     # a drone so fast that v * a overflows: dp and exact land at NaN
     "fast_drone.json": ('{"v": 8e307, "R": 10.0, "points": [{"x": 0.0, "y": 1.0}, '
                         '{"x": 3.0, "y": -2.0}]}'),
+    # the scale exactly at the domain's bound 2**40 * R / v, and an ulp past it
+    "domain_edge.json": ('{"v": 2.0, "R": 10.0, "points": [{"x": 5497558138876.0, "y": 1.0}, '
+                         '{"x": 5497558138880.0, "y": -2.0}]}'),
+    "past_domain_edge.json": ('{"v": 2.0, "R": 10.0, "points": [{"x": 5497558138876.0, '
+                              '"y": 1.0}, {"x": 5497558138880.001, "y": -2.0}]}'),
 }
 
 
@@ -148,7 +155,7 @@ def corpus() -> list[tuple[str, ...]]:
     cmds.append(("gen", "partition", "--values", ",".join(["1" + "0" * 310] * 3)))
     cmds.append(("gen", "partition", "--c", "-100000"))
     for name in ("far", "empty", "huge_scale", "thin_band", "nan_return", "inf_return", "max_x",
-                 "tiny_R", "fast_drone"):
+                 "tiny_R", "fast_drone", "domain_edge", "past_domain_edge"):
         cmds += _instance_commands(name, False)
     for bad in ("bad_json", "missing_R", "nan", "on_axis", "int_past_range", "no_such_file"):
         cmds.append(("solve", "--algo", "greedy", "--input", f"{bad}.json"))
