@@ -139,10 +139,12 @@ def load_instance(path: str) -> Instance:
         raise CliError(f"{path}: 'points' must be an array")
     if all(type(e) is dict and e.keys() == _XY for e in entries):  # the column fast path
         xs, ys = [e["x"] for e in entries], [e["y"] for e in entries]
-        if {*map(type, xs), *map(type, ys)} <= {float, int}:
+        kinds = {*map(type, xs), *map(type, ys)}  # an int past any float would round into it
+        if kinds <= {float, int} and (int not in kinds
+                                      or max(map(abs, xs + ys)) <= sys.float_info.max):
             try:
                 return Instance._from_columns(v, R, xs, ys, truck_start=s0)
-            except (ValueError, OverflowError):  # the latter: an int past any float
+            except ValueError:
                 pass  # the checks below name the first bad field, in file order
     pts = []
     for i, entry in enumerate(entries):

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import truckdrone
@@ -988,19 +988,32 @@ _FILE_NUMBERS = st.one_of(_FLOATS, st.integers(-2**70, 2**70),
                           st.sampled_from([10**308, -(2**64) - 1, 2**53 + 1]))
 
 
+def _file_numbers_within(bound):
+    """The same kinds of number, with |value| <= bound."""
+    return st.one_of(st.floats(-bound, bound), st.integers(-math.floor(bound), math.floor(bound)),
+                     st.sampled_from([x for x in (*_EDGE_FLOATS, 10**308, -(2**64) - 1, 2**53 + 1)
+                                      if abs(x) <= bound]))
+
+
 class TestLoaderPaths:
     """The column fast path and the per-entry checks read every file alike."""
 
     @settings(max_examples=200)
     @given(data=st.data())
     def test_paths_give_equal_instances(self, tmp_path_factory, data):
-        # an instance outside the numeric domain is refused by both alike
+        v, R, bound = data.draw(_domain_params())
+        within = _file_numbers_within(bound)
         n = data.draw(st.integers(0, 12))
-        doc = {"v": 2.0, "R": data.draw(st.sampled_from([10.0, 2.0**400])),
-               "truck_start": data.draw(_FLOATS),
-               "points": [{"x": data.draw(_FILE_NUMBERS),
+        doc = {"v": v, "R": R, "truck_start": data.draw(within),
+               "points": [{"x": data.draw(within),
                            "y": data.draw(_FILE_NUMBERS.filter(lambda y: y != 0))}
                           for _ in range(n)]}
+        if data.draw(st.integers(0, 3)) == 0:  # one abscissa or the start past the bound
+            past = data.draw(st.one_of(
+                st.floats(min_value=bound, exclude_min=True, allow_infinity=False),
+                st.integers(math.floor(bound) + 1, 2**1000)))
+            at = doc["points"][data.draw(st.integers(0, n - 1))] if n else doc
+            at["x" if n else "truck_start"] = past * data.draw(st.sampled_from([1, -1]))
         path = tmp_path_factory.mktemp("instance") / "inst.json"
         path.write_text(json.dumps(doc))
         results = []
@@ -1011,6 +1024,7 @@ class TestLoaderPaths:
                 except CliError as e:
                     results.append(str(e))
         fast, slow = results
+        event("refused by both" if isinstance(fast, str) else "read alike")
         if isinstance(fast, str):
             assert fast == slow and DOMAIN_ERROR in fast
             return
@@ -1025,6 +1039,8 @@ class TestLoaderPaths:
         "int past float range": {"x": 1.0, "y": 10**400},
         # rounds to the largest double, so only the range check refuses it
         "int just past float range": {"x": int(sys.float_info.max) + 1, "y": 1.0},
+        # the same in y, which the domain's scale leaves out
+        "int just past float range in y": {"x": 1.0, "y": int(sys.float_info.max) + 1},
         "missing key": {"x": 1.0},
         "extra key": {"x": 1.0, "y": 1.0, "z": 0.0},
         "non-dict": [1.0, 1.0],

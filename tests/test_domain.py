@@ -88,6 +88,16 @@ class TestInsideTheDomain:
         for sched in run_everything(Instance(v, R, points)):
             assert sched.count >= 1
 
+    # dp_table lands a launch before es at er, but earliest_start_pack flies
+    # it from es and lands an ulp later, past the next window's ls = er.  The
+    # mend is ROADMAP's "Two landing values for a waiting launch".
+    @pytest.mark.xfail(strict=True, raises=RuntimeError,
+                       reason="the DP's waiting landing differs from the pack's")
+    def test_dp_packs_a_launch_that_waits_until_the_next_window(self):
+        run_everything(Instance(2.0, 3.503562197968246e18,
+                                [(0.0, 1.0), (-1.0, 1.5170869335896727e18)],
+                                truck_start=-3.503562197968246e18))
+
 
 class TestPastTheDomain:
     @pytest.mark.parametrize("v, R, points, truck_start", [
