@@ -115,8 +115,8 @@ def _flight_time(dx, a, v):
 
 
 def _land(s: float, x: float, y: float, es: float, er: float, v: float) -> float:
-    """The one landing step: launch s <= ls serves (x, y); before es it lands at er."""
-    if s < es:
+    """The one landing step: launch s <= ls serves (x, y); at or before es it lands at er."""
+    if s <= es:
         return er
     dx = s - x
     return s + _flight_time(dx, math.sqrt(y * y + dx * dx), v)
@@ -125,8 +125,8 @@ def _land(s: float, x: float, y: float, es: float, er: float, v: float) -> float
 def return_position(s: float, d, v: float, R: float) -> float:
     """Abscissa where the drone lands after serving d from launch s.
 
-    Launching before the window means the drone sits on the truck until
-    the window opens, so the landing clamps to er.  Launching after the
+    Launching at or before the window's opening means the drone sits on
+    the truck until it opens, so the landing is er.  Launching after the
     window (or at an out-of-reach point) is INFEASIBLE.
     """
     x, y = _point_xy(d)
@@ -220,6 +220,6 @@ def return_positions(s, xs, ys, v: float, R: float, windows=None):
     sc = np.clip(s, es, ls)
     dx, y = sc - xs, np.minimum(np.abs(ys), _minor_radius(v, R))
     ret = sc + _flight_time(dx, np.sqrt(y * y + dx * dx), v)
-    ret = np.where(s < es, er, ret)
+    ret = np.where(s <= es, er, ret)
     ret = np.where(s > ls, np.inf, ret)
     return np.where(in_band, ret, np.inf)

@@ -129,11 +129,11 @@ def dp_table(inst: Instance) -> DpTable:
         live predecessors left of its last column.  Of those, only the
         block's own ranks (p >= the block's first column) can fail p < j,
         so only their rows are masked to +inf.
-      - A launch s meets rank j's window in one of three ways: before es
-        it lands at er, past ls (or at any s, for an out-of-band point,
-        whose es = ls = -inf) at +inf, and in between it flies.  Each cell
-        costs two comparisons; the flight, return_positions' formula, runs
-        on the in-window cells only, whose heights are in band.
+      - A launch s meets rank j's window as geometry._land does: at or
+        before es it lands at er, past ls (or at any s, for an out-of-band
+        point, whose es = ls = -inf) at +inf, and in between it flies.
+        Each cell costs two comparisons; the flight, return_positions'
+        formula, runs on the in-window cells only, whose heights are in band.
       - A cell left at +inf gets parent 0, which is what argmin over an
         all-+inf dense column returns.  Row 0 starts from a rank -1 that lies
         left of every point and lands at truck_start; its parents are -1.
@@ -167,7 +167,7 @@ def dp_table(inst: Instance) -> DpTable:
             s = launches[: len(prev), None]
             # land[k, c] = landing when rank c0+c follows a chain that
             # ended at rank prev[k]
-            early = s < es[c0:c1]
+            early = s <= es[c0:c1]
             land = np.where(early, er[c0:c1], np.inf)
             i = np.flatnonzero((s <= ls[c0:c1]) ^ early)  # the in-window cells
             k, c = np.divmod(i, c1 - c0)
@@ -210,7 +210,7 @@ def solve_dp_proper(inst: Instance, require_proper: bool = True) -> Schedule:
         chain.append(int(table.parents[r][chain[-1]]))
     order = [table.ranks[j] for j in reversed(chain)]
     sched = earliest_start_pack(inst, order)
-    if sched is None:  # cannot happen: the table only chains feasible landings
+    if sched is None:  # cannot happen: pack lands on the table's own cells
         raise RuntimeError("dynamic program produced an unpackable order")
     return sched
 

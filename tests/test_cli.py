@@ -283,6 +283,21 @@ class TestSolveAndVerify:
                         "--allow-nonproper")
         assert loose.returncode == 0
 
+    def test_dp_packs_a_launch_that_waits_until_the_next_window(self, tmp_path):
+        # the first flight waits for its window and lands at er, the second
+        # window's ls; the DP's order packs to that landing and serves both
+        inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+        inst.write_text(json.dumps({"v": 2.0, "R": 3.503562197968246e18,
+                                    "truck_start": -3.503562197968246e18, "points": [
+                                        {"x": 0.0, "y": 1.0},
+                                        {"x": -1.0, "y": 1.5170869335896727e18}]}))
+        res = run_cli("solve", "--algo", "dp", "--allow-nonproper", "--input", str(inst),
+                      "--output", str(sched))
+        assert res.returncode == 0, res.stderr
+        assert res.stderr.startswith("dp: count=2 completion=")
+        ver = run_cli("verify", "--instance", str(inst), "--schedule", str(sched))
+        assert ver.returncode == 0 and json.loads(ver.stdout)["feasible"] is True
+
     def test_exact_refuses_over_budget(self, band_file):
         res = run_cli("solve", "--algo", "exact", "--input", str(band_file))
         assert res.returncode == 1

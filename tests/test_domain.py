@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from truckdrone import (
     Instance,
     check_proper,
+    dp_table,
     reach_envelope,
     render_svg,
     return_positions,
@@ -46,6 +47,9 @@ def run_everything(inst):
     with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
         warnings.simplefilter("error")
         scheds = [solve_greedy(inst), solve_dp_proper(inst, require_proper=False)]
+        # the DP's order packs to the table's own last landing, bit for bit
+        rows = dp_table(inst).completions
+        assert scheds[1].rets[-1:] == ((rows[-1].min(),) if len(rows) else ())
         if len(inst) <= 6:
             scheds.append(solve_exact(inst))
         check_proper(inst)
@@ -88,15 +92,19 @@ class TestInsideTheDomain:
         for sched in run_everything(Instance(v, R, points)):
             assert sched.count >= 1
 
-    # dp_table lands a launch before es at er, but earliest_start_pack flies
-    # it from es and lands an ulp later, past the next window's ls = er.  The
-    # mend is ROADMAP's "Two landing values for a waiting launch".
-    @pytest.mark.xfail(strict=True, raises=RuntimeError,
-                       reason="the DP's waiting landing differs from the pack's")
     def test_dp_packs_a_launch_that_waits_until_the_next_window(self):
-        run_everything(Instance(2.0, 3.503562197968246e18,
-                                [(0.0, 1.0), (-1.0, 1.5170869335896727e18)],
-                                truck_start=-3.503562197968246e18))
+        # the first launch waits for its window and lands at er, which is the
+        # second window's ls; a pack that flew from es landed an ulp past it
+        [_, dp, _] = run_everything(Instance(2.0, 3.503562197968246e18,
+                                             [(0.0, 1.0), (-1.0, 1.5170869335896727e18)],
+                                             truck_start=-3.503562197968246e18))
+        assert dp.count == 2
+
+    def test_dp_packs_a_waiting_launch_where_the_flight_form_is_inexact(self):
+        # at v = 1 + 2**-52 the flight from es lands at 4.0, not er = 3.0, so
+        # a pack that flew from es found the second copy's window closed
+        [_, dp, _] = run_everything(Instance(V_MIN, 3.0, [(3.0, 5e-324)] * 2))
+        assert dp.count == 2 and dp.rets[0] == 3.0
 
 
 class TestPastTheDomain:

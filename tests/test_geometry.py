@@ -114,7 +114,7 @@ class TestReturnPosition:
         m = reach_envelope(2.0, 10.0).minor_radius
         d = (10.0, 0.6 * m)
         w = start_window(d, 2.0, 10.0)
-        for s in (-100.0, 0.0, w.es - 1e-6):
+        for s in (-100.0, 0.0, w.es - 1e-6, w.es):
             assert return_position(s, d, 2.0, 10.0) == w.er
 
     def test_late_launch_is_infeasible(self):
@@ -258,7 +258,7 @@ class TestRoundTripTime:
         m = reach_envelope(2.0, 10.0).minor_radius
         d = (10.0, 0.6 * m)
         w = start_window(d, 2.0, 10.0)
-        assert round_trip_time(w.es, d, 2.0, 10.0) == pytest.approx(5.0, abs=1e-9)
+        assert round_trip_time(w.es, d, 2.0, 10.0) == w.er - w.es == 5.0
 
     def test_infeasible_cases(self):
         assert round_trip_time(100.0, (5.0, 3.0), 2.0, 10.0) == INFEASIBLE

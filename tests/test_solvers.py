@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 from truckdrone import solvers
 from truckdrone.generators import gen_greedy_tightness, gen_random_band, gen_random_proper
-from truckdrone.geometry import _land, return_positions, start_window, window_arrays
+from truckdrone.geometry import (
+    _flight_time,
+    _land,
+    return_position,
+    return_positions,
+    round_trip_time,
+    start_window,
+    window_arrays,
+)
 from truckdrone.model import (
     Delivery,
     Instance,
@@ -73,7 +81,7 @@ class TestGreedy:
         sched = solve_greedy(inst)
         w = start_window(inst.points[0], 2.0, 10.0)
         assert sched.deliveries[0].start == w.es
-        assert sched.deliveries[0].ret == pytest.approx(28.5, abs=1e-9)
+        assert sched.deliveries[0].ret == w.er == 28.5
 
     def test_two_point_frozen(self):
         m = minor_radius(2.0, 10.0)
@@ -621,15 +629,21 @@ def assert_same_table(inst):
         assert np.array_equal(a, b)
 
 
+def _fly(s, x, y, v):
+    """The flight form's landing from launch s, whatever the window."""
+    dx = s - x
+    return s + _flight_time(dx, math.sqrt(y * y + dx * dx), v)
+
+
 def landing_on_window_edge(edge, T, v=2.0, R=10.0):
     """Two points, left to right: the first's landing from the truck start T
     launches exactly at the second's es (edge 0) or ls (edge 1).
 
     The second point's x is nudged an ulp at a time until window_arrays
-    gives the equality.  At es the launch flies; at T = 0 the height is
-    chosen so that es + flight differs from er (by about an ulp), so a
-    kernel that took s <= es as waiting would land at er.  Far along the
-    road the two round to the same double.
+    gives the equality.  At es the launch lands at er; at T = 0 the height
+    is chosen so that the flight from es misses er (by about an ulp), so a
+    kernel that flew from s = es would land elsewhere.  Far along the road
+    the two round to the same double.
     """
     first = (T + 5.0, 3.0)
     s = return_positions(T, [first[0]], [first[1]], v, R)[0]
@@ -640,8 +654,7 @@ def landing_on_window_edge(edge, T, v=2.0, R=10.0):
             if (es, ls)[edge] == s:
                 break
             x = np.nextafter(x, np.inf if (es, ls)[edge] < s else -np.inf)
-        if (es, ls)[edge] == s and x > first[0] and (
-                edge or T or er != return_positions(s, [x], [y], v, R)[0]):
+        if (es, ls)[edge] == s and x > first[0] and (edge or T or er != _fly(s, x, y, v)):
             return Instance(v, R, [first, (float(x), float(y))], truck_start=T)
     raise AssertionError("no height puts the landing on the window edge")
 
@@ -702,10 +715,14 @@ class TestDpTableMatchesDense:
     @pytest.mark.parametrize("T", [0.0, 1e6])
     @pytest.mark.parametrize("edge", [0, 1], ids=["es", "ls"])
     def test_landing_on_window_edge(self, edge, T):
-        # s == es flies (es + flight, not er) and s == ls still flies
+        # s == es lands at er, as an earlier launch does; s == ls still flies
         inst = landing_on_window_edge(edge, T)
         table = dp_table(inst)
-        assert table.ranks == (0, 1) and np.isfinite(table.completions[1, 1])
+        s = table.completions[0, 0]
+        es, ls, er, _, _ = (w[1] for w in window_arrays(inst.xs, inst.ys, inst.v, inst.R))
+        want = _fly(s, inst.xs[1], inst.ys[1], inst.v) if edge else er
+        assert table.ranks == (0, 1) and s == (es, ls)[edge]
+        assert table.completions[1, 1] == want
         assert_same_table(inst)
 
     def test_shifted_copies(self):
@@ -822,6 +839,51 @@ class TestDpProper:
 
     def test_empty(self):
         assert solve_dp_proper(Instance(v=2.0, R=10.0)).count == 0
+
+    def test_packs_to_the_table_along_its_chain(self):
+        # the table and the pack land a launch at or before es at er, so the
+        # packed order lands on the table's own cells, bit for bit
+        rng = random.Random(2402)
+        for _ in range(600):
+            n, v, seed = rng.randrange(3, 41), rng.uniform(1.2, 7.2), rng.randrange(10**6)
+            inst = (gen_random_proper(n, v, 10.0, seed) if rng.random() < 0.5 else
+                    gen_random_band(n, v, 10.0, x_span=rng.choice([10.0, 30.0 + n]), seed=seed))
+            table, sched = dp_table(inst), solve_dp_proper(inst, require_proper=False)
+            chain = [int(np.argmin(table.completions[-1]))]
+            for r in range(len(table.completions) - 1, 0, -1):
+                chain.append(int(table.parents[r][chain[-1]]))
+            chain.reverse()
+            assert sched.order == tuple(table.ranks[j] for j in chain)
+            assert sched.rets == tuple(table.completions[r, j] for r, j in enumerate(chain))
+            assert sched.rets[-1] == table.completions[-1].min()
+
+
+class TestOneLandingRule:
+    """A launch at or before es waits for the window and lands at er, exactly,
+    in every landing form; a launch an ulp past es flies, alike in all."""
+
+    @pytest.mark.parametrize("where", ["before", "at", "past"])
+    def test_every_form_lands_alike(self, where):
+        v, R = 3.0, 7.0
+        x, y = 13.0, 3.0 * minor_radius(v, R) / 41.0
+        w = start_window((x, y), v, R)
+        assert _fly(w.es, x, y, v) != w.er  # the flight from es misses er by an ulp
+        s = {"before": w.es - 1.0, "at": w.es, "past": math.nextafter(w.es, math.inf)}[where]
+        inst = Instance(v, R, [(x, y)], truck_start=s)
+        landings = {
+            "_land": _land(s, x, y, w.es, w.er, v),
+            "return_position": return_position(s, (x, y), v, R),
+            "return_positions": return_positions(s, [x], [y], v, R)[0],
+            "round_trip_time": s + round_trip_time(s, (x, y), v, R),
+            "dp_table": dp_table(inst).completions[0, 0],
+            "earliest_start_pack": earliest_start_pack(inst, [0]).rets[0],
+            "verify_schedule": verify_schedule(inst, Schedule((Delivery(0, s, 0.0),))).completion,
+            # before es, greedy lands nothing and drives to the opening first
+            "solve_greedy": solve_greedy(inst).rets[0],
+            "solve_exact": solve_exact(inst).rets[0],
+        }
+        want = _fly(s, x, y, v) if where == "past" else w.er
+        assert landings == dict.fromkeys(landings, want)
 
 
 def _shifted(inst, T):
