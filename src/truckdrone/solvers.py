@@ -18,7 +18,7 @@ from .model import Instance, Schedule, earliest_start_pack
 from .proper import NotProperError, check_proper
 
 GREEDY_TIE_TOL = 1e-9
-# landings evaluated per block of dp_table columns; keeps temporaries in cache
+# cells compared per block of dp_table columns; keeps temporaries in cache
 _DP_BLOCK_CELLS = 8192
 
 
@@ -126,24 +126,26 @@ def dp_table(inst: Instance) -> DpTable:
         +inf; only the live (finite) predecessors are evaluated.
       - Rank j needs a live predecessor of lower rank, so columns up to the
         first live rank stay +inf, and each block of columns only sees the
-        live predecessors left of its last column.  Of those, only the
-        block's own ranks (p >= the block's first column) can fail p < j,
-        so only their rows are masked to +inf.
+        live predecessors left of its last column.  Of those, a cell with
+        p >= j is dropped where it is read, by the count left of j.
       - A launch s meets rank j's window as geometry._land does: at or
         before es it lands at er, past ls (or at any s, for an out-of-band
         point, whose es = ls = -inf) at +inf, and in between it flies.
-        Each cell costs two comparisons; the flight, return_positions'
-        formula, runs on the in-window cells only, whose heights are in band.
+        A cell costs two comparisons and their xor, the in-window bit; a
+        column's first early row (argmax) gives er.  Once per row the
+        in-window cells fly together, by return_positions' formula, and a
+        flight replaces er when it lands earlier, or as early from a lower
+        rank: the dense argmin's first minimum.
       - A cell left at +inf gets parent 0, which is what argmin over an
         all-+inf dense column returns.  Row 0 starts from a rank -1 that lies
         left of every point and lands at truck_start; its parents are -1.
     Each row is written in place into one n x n table, and only rows up to
     the last finite one are touched and returned.  The columns are walked
-    in blocks of about _DP_BLOCK_CELLS landings, so the temporaries stay
+    in blocks of about _DP_BLOCK_CELLS cells, so the temporaries stay
     cache-sized and the cost per cell does not depend on n: the growth
     stays cubic, as the paper's algorithm is.  Larger blocks bend it: at
     32k and 128k cells the n = 1000 / n = 500 time ratio on acceptance
-    9's instance read 6.1 and 5.0, against 9.0 at 8192 (one run each).
+    9's instance read 5.9 and 4.8, against 7.6 at 8192 (three runs each).
     """
     n = len(inst)
     order = np.lexsort((inst.ys, inst.xs))  # stable, so ties keep index order
@@ -154,30 +156,34 @@ def dp_table(inst: Instance) -> DpTable:
     es, ls, er, _, in_band = window_arrays(xs, ys, inst.v, inst.R)
     es, ls = np.where(in_band, es, -np.inf), np.where(in_band, ls, -np.inf)
     completions, parents = np.empty((n, n)), np.empty((n, n), dtype=int)
+    cols = np.arange(n)
     live, launches = np.array([-1]), np.array([inst.truck_start])  # rank -1, left of all
     depth = 0
     while depth < n:
         width = max(1, _DP_BLOCK_CELLS // len(live))
-        nxt, parent = completions[depth], parents[depth]
-        nxt[: live[0] + 1], parent[: live[0] + 1] = np.inf, 0
+        below = np.searchsorted(live, cols)  # live ranks left of each column
+        first, cells = np.zeros(n, dtype=int), [(cols[:0], cols[:0])]
         for c0 in range(live[0] + 1, n, width):
             c1 = min(c0 + width, n)
-            # live ranks left of the block's last column
-            prev = live[: np.searchsorted(live, c1 - 1)]
-            s = launches[: len(prev), None]
-            # land[k, c] = landing when rank c0+c follows a chain that
-            # ended at rank prev[k]
+            s = launches[: below[c1 - 1], None]  # the live ranks left of its last column
             early = s <= es[c0:c1]
-            land = np.where(early, er[c0:c1], np.inf)
-            i = np.flatnonzero((s <= ls[c0:c1]) ^ early)  # the in-window cells
-            k, c = np.divmod(i, c1 - c0)
-            dx, yc = launches[k] - xs[c0 + c], ys[c0 + c]
-            land.ravel()[i] = launches[k] + _flight_time(dx, np.sqrt(yc * yc + dx * dx), inst.v)
-            # predecessor must be strictly left in rank order
-            t = np.searchsorted(prev, c0)
-            np.copyto(land[t:], np.inf, where=prev[t:, None] >= np.arange(c0, c1))
-            nxt[c0:c1] = best = land.min(axis=0)
-            parent[c0:c1] = np.where(np.isfinite(best), prev[land.argmin(axis=0)], 0)
+            early.argmax(axis=0, out=first[c0:c1])
+            k, c = np.divmod(np.flatnonzero((s <= ls[c0:c1]) ^ early), c1 - c0)
+            cells.append((k, c + c0))
+        # a column's first early row left of it lands at er; its in-window
+        # cells left of it fly, and the lowest rank at the minimum wins
+        nxt, parent = completions[depth], parents[depth]
+        nxt[:] = at_er = np.where((first < below) & (launches[first] <= es), er, np.inf)
+        parent[:] = np.where(at_er < np.inf, live[first], 0)
+        k, c = (np.concatenate(a) for a in zip(*cells))
+        left = k < below[c]
+        k, c = k[left], c[left]
+        dx, yc = launches[k] - xs[c], ys[c]
+        land = launches[k] + _flight_time(dx, np.sqrt(yc * yc + dx * dx), inst.v)
+        np.minimum.at(nxt, c, land)
+        parent[nxt < at_er] = n  # a flight landed first: drop er's parent
+        hit = land == nxt[c]
+        np.minimum.at(parent, c[hit], live[k[hit]])
         live = np.flatnonzero(np.isfinite(nxt))
         if not len(live):
             break

@@ -780,6 +780,75 @@ class TestDpTableMatchesDense:
                             truck_start=inst.truck_start)
         assert_same_table(_shifted(inst, data.draw(st.sampled_from([0.0, 1e6]))))
 
+    @pytest.mark.parametrize("cells", [1, 37, 8192, "n^2"])
+    def test_block_size_does_not_change_the_table(self, monkeypatch, cells):
+        # the in-window cells of every block of a row meet in one merge, so
+        # the split into blocks must not show in any cell or parent
+        for inst in (gen_random_proper(200, v=2.0, R=10.0, seed=5),
+                     gen_random_band(200, v=2.0, R=10.0, x_span=10.0, seed=5),
+                     _scaling_instance(150)):
+            n = len(inst)
+            monkeypatch.setattr(solvers, "_DP_BLOCK_CELLS", n * n if cells == "n^2" else cells)
+            assert_same_table(inst)
+
+
+def flight_at_er(flier, v=2.0, R=10.0):
+    """Ranks 0 and 1 land before point 2's window closes: `flier` (0 or 1)
+    inside it, and its flight lands exactly at point 2's er; the other
+    lands before the window opens.
+
+    Rank 0 sits near the band's edge and rank 1 near the axis, so rank 1
+    lands first; for flier 1 the two heights swap.  Point 2's abscissa is
+    nudged an ulp at a time, from es at the flier's landing, until the
+    flight from there rounds to er.
+    """
+    first = [(0.0, 4.3), (2.0, 0.5)] if flier == 0 else [(0.0, 0.5), (2.0, 4.3)]
+    s = dp_table(Instance(v, R, first, truck_start=-10.0)).completions[0, flier]
+    for y in np.linspace(0.2, 0.95, 40) * minor_radius(v, R):
+        x = s - window_arrays([0.0], [y], v, R)[0][0]
+        for _ in range(64):
+            es, _, er, _, _ = (w[0] for w in window_arrays([x], [y], v, R))
+            if es < s and _fly(s, x, y, v) == er:
+                return Instance(v, R, [*first, (float(x), float(y))], truck_start=-10.0)
+            x = np.nextafter(x, -np.inf)
+    raise AssertionError("no abscissa puts the flight at er")
+
+
+class TestDpTableTies:
+    """Rank 2's cell in row 1, from ranks 0 and 1: the dense argmin's first
+    minimum over the predecessors in rank order."""
+
+    @staticmethod
+    def cell(inst):
+        # (landings of ranks 0 and 1, rank 2's window, the cell, its parent)
+        table = dp_table(inst)
+        es, ls, er, _, _ = (w[2] for w in window_arrays(inst.xs, inst.ys, inst.v, inst.R))
+        assert table.ranks == (0, 1, 2)
+        assert_same_table(inst)
+        return table.completions[0, :2], (es, ls, er), table.completions[1, 2], table.parents[1, 2]
+
+    def test_early_beats_a_later_flight_from_a_lower_rank(self):
+        # rank 0 lands inside the window [0.5, 8.5], rank 1 before it
+        inst = Instance(2.0, 10.0, [(0.0, 4.3), (2.0, 0.5), (7.0, 2.598)], truck_start=-10.0)
+        (s0, s1), (es, ls, er), cell, parent = self.cell(inst)
+        assert s1 <= es < s0 <= ls and _fly(s0, 7.0, 2.598, 2.0) > er
+        assert cell == er and parent == 1
+
+    def test_two_early_predecessors_give_the_lower_rank(self):
+        # both land before the window [3.5, 11.5] opens, rank 1 first
+        inst = Instance(2.0, 10.0, [(0.0, 4.3), (2.0, 0.5), (10.0, 2.598)], truck_start=-10.0)
+        (s0, s1), (es, _, er), cell, parent = self.cell(inst)
+        assert s1 < s0 <= es
+        assert cell == er and parent == 0
+
+    @pytest.mark.parametrize("flier", [0, 1])
+    def test_flight_at_er_ties_by_rank(self, flier):
+        inst = flight_at_er(flier)
+        s, (es, ls, er), cell, parent = self.cell(inst)
+        assert s[1 - flier] <= es < s[flier] <= ls
+        assert _fly(s[flier], inst.xs[2], inst.ys[2], inst.v) == er
+        assert cell == er and parent == 0
+
 
 class TestDpProper:
     def test_rejects_nonproper(self):
