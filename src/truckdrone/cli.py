@@ -25,6 +25,7 @@ from .generators import (
     gen_random_proper,
     gen_three_partition,
 )
+from .jsonrows import _int_rows
 from .model import (
     DEFAULT_TOL,
     DeliveryPoint,
@@ -64,7 +65,7 @@ def _emit(value, pad: str = "") -> str:
         if kind is dict:
             body = ",\n".join([f"{inner}{_quote(k)}: {_emit(v, inner)}" for k, v in value.items()])
             return f"{{\n{body}\n{pad}}}"
-        body = ",\n".join([inner + _emit(v, inner) for v in value])
+        body = _int_rows(value, inner) or ",\n".join([inner + _emit(v, inner) for v in value])
         return f"[\n{body}\n{pad}]"
     if kind is str:
         return _quote(value)

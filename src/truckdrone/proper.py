@@ -9,13 +9,15 @@ what the dynamic program relies on.
 Both conditions are decided in one place, `_pair_violations`, relative to
 the apex of each triangle and with tolerances scaled by R alone, so
 properness does not depend on where on the road an instance sits.
-`check_proper` applies it to every pair within reach (the bound is in its
-docstring) in O(n log n + pairs within reach) time and memory linear in n;
+`check_proper` tests each point against the points within its own reach
+(`_reach` gives the bound), in O(n log n + pairs within reach) time and
+memory linear in n plus one grid of at most _CHUNK cells;
 `gen_random_proper` applies it, with a wider margin, to each candidate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from .geometry import _half_width, _minor_radius, window_arrays
 from .model import DEFAULT_TOL, Instance, _check_tol
 
-_BLOCK = 64  # points per block of check_proper's sweep
+_CHUNK = 6144  # cells per pair test of check_proper's sweep, about 0.3 MiB of temporaries
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class NotProperError(ValueError):
         super().__init__("instance is not proper: " + "; ".join(parts))
 
 
-def _pair_violations(xa, ya, xb, yb, v: float, R: float, tol: float):
+def _pair_violations(xa, ya, xb, yb, v: float, R: float, tol: float, ha=None, hb=None):
     """Properness tests of point b against point a; arrays broadcast.
 
     Returns (triangle, nested): b lies in a's closed triangle, and a's
@@ -66,9 +68,11 @@ def _pair_violations(xa, ya, xb, yb, v: float, R: float, tol: float):
     Every window is centred R/(2v) left of its point, so a's nests in b's
     iff |x_b - x_a| <= h_b - h_a.  The tolerance is tol*R^2 on the area
     form and tol*R on lengths.  Only x_b - x_a enters, so a shift of both
-    points changes nothing.  Both points must lie in the band.
+    points changes nothing.  Both points must lie in the band.  A caller
+    that holds the half-widths passes them as ha and hb.
     """
-    ha, hb = _half_width(ya, v, R), _half_width(yb, v, R)
+    ha = _half_width(ya, v, R) if ha is None else ha
+    hb = _half_width(yb, v, R) if hb is None else hb
     wa = R / (2.0 * v) + ha
     sa, depth = np.sign(ya), np.abs(ya)
     dx = np.abs(xb - xa)
@@ -92,6 +96,41 @@ def _reach(xa, ya, v: float, R: float, tol: float):
     return reach * (1.0 + 1e-9) + 4.0 * np.spacing(np.abs(xa))
 
 
+def _violations_in_reach(X, Y, idx, n: int, v: float, R: float, tol: float):
+    """Triangle and nesting violations among the x-sorted points (X, Y), each
+    as the sorted keys idx[i]*n + idx[j] of its pairs.
+
+    Row i must meet the points [lo_i, lo_i + width_i) within its `_reach`.
+    Rows go in order of width, in grids of at most _CHUNK cells, or of one
+    row where a reach is wider.  A grid as wide as its widest row, w, meets
+    the w points from min(lo_i, len(X) - w) in each row: its reach and a
+    few points past it, which cannot violate.
+    """
+    m, reach = len(X), _reach(X, Y, v, R, tol)
+    lo = np.searchsorted(X, X - reach)
+    width = np.searchsorted(X, X + reach) - lo  # at least 1: a point is within its reach
+    rows = np.argsort(width, kind="stable")
+    widths, H = width[rows].tolist(), _half_width(Y, v, R)
+    found = [np.empty(0, int)], [np.empty(0, int)]
+    a = 0
+    while a < m:
+        # the most rows k from a such that k rows as wide as the k-th, the widest, fit
+        b = a + max(1, bisect_right(range(1, m - a + 1), _CHUNK,
+                                    key=lambda k: k * widths[a + k - 1]))
+        w = widths[b - 1]
+        i = rows[a:b, None]
+        first = np.minimum(lo[i], m - w)
+        j = first + np.arange(w)
+        hits = _pair_violations(X[i], Y[i], X[j], Y[j], v, R, tol, H[i], H[j])
+        own, row_keys = (np.arange(b - a), (i - first)[:, 0]), idx[i[:, 0]] * n
+        for pairs, hit in zip(found, hits):
+            hit[own] = False  # self-pairs
+            c = np.flatnonzero(hit)
+            pairs.append(row_keys[c // w] + idx[j.ravel()[c]])
+        a = b
+    return [np.sort(np.concatenate(f)) for f in found]
+
+
 def check_proper(inst: Instance, tol: float = DEFAULT_TOL) -> ProperReport:
     """Scan every ordered pair within reach for properness violations.
 
@@ -101,25 +140,15 @@ def check_proper(inst: Instance, tol: float = DEFAULT_TOL) -> ProperReport:
     tol*R^2 on areas) are flagged too, erring toward "not proper".  A tol
     that is negative or not finite raises ValueError.
 
-    Blocks of x-sorted points meet only the points within their `_reach`:
-    O(n log n + pairs in reach) time, O(n) memory beside the report.
+    Each point meets only the points within its own `_reach`, in grids of
+    about _CHUNK pairs: O(n log n + pairs in reach) time and O(n + _CHUNK)
+    memory beside the report (a reach wider than _CHUNK is one grid).
     """
     _check_tol(tol)
     v, R, n, xs, ys = inst.v, inst.R, len(inst), inst.xs, inst.ys
     in_band = np.abs(ys) <= _minor_radius(v, R)
     idx = np.flatnonzero(in_band)[np.argsort(xs[in_band])]
-    X, Y = xs[idx], ys[idx]
-    reach = _reach(X, Y, v, R, tol)
-    found = [np.empty(0, int)], [np.empty(0, int)]  # pairs (i, j) as i*n + j
-    for a in range(0, len(X), _BLOCK):
-        rows = slice(a, a + _BLOCK)
-        b, c = np.searchsorted(X, ((X[rows] - reach[rows]).min(), (X[rows] + reach[rows]).max()))
-        hits = _pair_violations(X[rows, None], Y[rows, None], X[b:c], Y[b:c], v, R, tol)
-        for pairs, hit in zip(found, hits):
-            np.fill_diagonal(hit[:, a - b:], False)  # self-pairs
-            i, j = np.nonzero(hit)
-            pairs.append(idx[i + a] * n + idx[j + b])
-    keys = (np.sort(np.concatenate(f)) for f in found)
+    keys = _violations_in_reach(xs[idx], ys[idx], idx, n, v, R, tol)
     triangles, nestings = (tuple(zip((k // n).tolist(), (k % n).tolist())) for k in keys)
     out_of_band = tuple(np.flatnonzero(~in_band).tolist())
     ok = not triangles and not nestings and not out_of_band

@@ -430,6 +430,20 @@ class TestDocumentsFromRecords:
         res = run_cli("check-proper", "--input", str(path))
         assert (res.returncode, res.stdout) == (1, _report_by_fields(report))
 
+    def test_report_on_a_band_is_the_json_document(self, tmp_path):
+        # hundreds of [i, j] rows, written in json.dumps's bytes
+        inst = gen_random_band(400, 2.0, 10.0, 800.0, seed=19)
+        report = check_proper(inst)
+        assert len(report.triangle_violations) + len(report.nesting_violations) > 500
+        path = tmp_path / "band.json"
+        path.write_text(instance_to_json(inst))
+        res = run_cli("check-proper", "--input", str(path))
+        doc = {"is_proper": False,
+               "triangle_violations": [list(p) for p in report.triangle_violations],
+               "nesting_violations": [list(p) for p in report.nesting_violations],
+               "out_of_band": []}
+        assert (res.returncode, res.stdout) == (1, json.dumps(doc, indent=2) + "\n")
+
     def test_empty_report(self, tmp_path):
         inst = Instance(2.0, 10.0, [])
         path = tmp_path / "empty.json"
@@ -906,11 +920,38 @@ _DOCUMENTS = st.recursive(_LEAVES, lambda inner: st.one_of(
     st.dictionaries(_PLAIN_KEYS, inner, max_size=4)), max_leaves=25)
 
 
+_INTS = st.one_of(st.integers(), st.integers(-2**70, 2**70),
+                  st.sampled_from([0, -1, 2**63, -2**63 - 1, 10**40]))
+
+
+def _rows(m):
+    """Lists of int rows of length m, each row a list or a tuple."""
+    row = st.lists(_INTS, min_size=m, max_size=m)
+    return st.lists(st.one_of(row, row.map(tuple)), max_size=6)
+
+
+# what emit_json writes with one %-format (ints, equal rows of ints) and its neighbours
+_INT_DOCUMENTS = st.one_of(
+    st.lists(_INTS), st.lists(_INTS).map(tuple), st.integers(0, 3).flatmap(_rows),
+    st.lists(st.lists(_INTS, max_size=3), max_size=4),  # ragged and empty rows
+    st.lists(st.one_of(_INTS, st.booleans())),  # True among ints
+    st.lists(st.lists(st.one_of(_INTS, st.booleans()), min_size=2, max_size=2)),
+    st.lists(st.lists(st.lists(_INTS, max_size=2), max_size=2), max_size=3))  # depth 3
+
+
 class TestJsonWriter:
     @settings(max_examples=400)
     @given(doc=_DOCUMENTS)
     def test_bytes_equal_the_reference_writer(self, doc):
         assert emit_json(doc) == _reference_emit(doc) + "\n"
+
+    @settings(max_examples=400)
+    @given(doc=_INT_DOCUMENTS)
+    def test_int_lists_equal_the_reference_writer_and_json(self, doc):
+        for nested in (doc, {"k": [doc, 1]}):
+            text = emit_json(nested)
+            assert text == _reference_emit(nested) + "\n"
+            assert text == json.dumps(nested, indent=2) + "\n"
 
     @pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", np.int64(3), 1j,
                                      np.array([1.0]), np.bool_(True)])

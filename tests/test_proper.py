@@ -14,10 +14,11 @@ from truckdrone.generators import gen_random_band, gen_random_proper
 from truckdrone.geometry import _minor_radius, start_window, window_arrays
 from truckdrone.model import DEFAULT_TOL, Instance
 from truckdrone.proper import (
-    _BLOCK,
+    _CHUNK,
     NotProperError,
     ProperReport,
     _pair_violations,
+    _reach,
     check_proper,
     interval_order_check,
 )
@@ -200,7 +201,10 @@ def _sweep_cases(draw):
     the whole instance shifted along the road."""
     v = draw(st.sampled_from([1.001, 2.0, 50.0]))
     R = draw(st.sampled_from([0.01, 10.0, 1000.0]))
-    n = draw(st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]))
+    # dense bands of isqrt(4 _CHUNK) points fill one to three grids, sparse
+    # ones of _CHUNK / 7 points about one (each point reaches about 7 others)
+    n = draw(st.sampled_from([0, 1, 2, math.isqrt(_CHUNK) // 2, math.isqrt(4 * _CHUNK),
+                              _CHUNK // 7]))
     layout = draw(st.sampled_from(["sparse", "dense", "near-axis"]))
     span = (2.0 * n if layout == "sparse" else 40.0) * R / 10.0
     inst = gen_random_band(n, v, R, span, draw(st.integers(0, 2**16)))
@@ -237,47 +241,135 @@ class TestSweepMatchesDense:
                 assert report.triangle_violations and report.nesting_violations
 
     @staticmethod
-    def _last_of_a_block(v, R, a, b):
-        """a closes the first block, b opens the next, so (a, b) is found
-        only if the reach of a's block takes in b; the rest sit far left."""
+    def _across_a_chunk_boundary(v, R, a, b):
+        """a and b after 63 points far left, each alone in its reach.  With
+        chunks of one or two cells, a and b fall in different grids, so
+        (a, b) is found only if b lies within a's own reach."""
         m = _minor_radius(v, R)
-        rest = [(a[0] - 10.0 * R * k, 0.5 * m) for k in range(_BLOCK - 1, 0, -1)]
-        return Instance(v, R, (*rest, a, b)), (_BLOCK - 1, _BLOCK)
+        rest = [(a[0] - 10.0 * R * k, 0.5 * m) for k in range(63, 0, -1)]
+        return Instance(v, R, (*rest, a, b)), (63, 64)
 
     @pytest.mark.parametrize("shift", [0.0, 1e7])
-    def test_pairs_at_the_edge_of_reach_are_found(self, shift):
+    def test_pairs_at_the_edge_of_reach_are_found(self, shift, monkeypatch):
         # nesting at its widest: a on the band edge (h_a = 0) nests in a
         # b so close to the axis that h_b = R/2, exactly R/2 away; at 1e7
         # only the ulp pad keeps x_a + reach above x_b
         v, R = 2.0, 10.0
-        inst, pair = self._last_of_a_block(
+        inst, pair = self._across_a_chunk_boundary(
             v, R, (shift, _minor_radius(v, R)), (shift + R / 2.0, 1e-300))
-        report = check_proper(inst, tol=0.0)
-        assert report == _dense_check_proper(inst, tol=0.0)
-        assert pair in report.nesting_violations
+        for chunk in (1, 2, _CHUNK):
+            monkeypatch.setattr(proper, "_CHUNK", chunk)
+            report = check_proper(inst, tol=0.0)
+            assert report == _dense_check_proper(inst, tol=0.0)
+            assert pair in report.nesting_violations
 
-    def test_underflowing_heights_are_found(self):
+    def test_underflowing_heights_are_found(self, monkeypatch):
         # at subnormal heights the area form rounds to 0 <= 0, so b is
         # flagged beyond w_a = 0.375; the reach must cover that
-        inst, pair = self._last_of_a_block(2.0, 0.5, (0.0, 5e-324), (0.45, 5e-324))
+        inst, pair = self._across_a_chunk_boundary(2.0, 0.5, (0.0, 5e-324), (0.45, 5e-324))
+        for chunk in (1, 2, _CHUNK):
+            monkeypatch.setattr(proper, "_CHUNK", chunk)
+            report = check_proper(inst, tol=0.0)
+            assert report == _dense_check_proper(inst, tol=0.0)
+            assert pair in report.triangle_violations
+
+    def test_edge_pairs_at_a_far_shift_across_chunks(self, monkeypatch):
+        # twelve nesting pairs at the edge of reach, as above, at 1e7 and
+        # tol = 0: a band-edge a and a b with h_b = R/2 exactly R/2 right of
+        # it; b's own reach is about w_b, so it meets only its own a
+        v, R, shift = 2.0, 10.0, 1e7
+        m = _minor_radius(v, R)
+        points, pairs = [], []
+        for k in range(12):
+            x, s = shift + 20.0 * R * k, (-1.0) ** k
+            pairs.append((len(points), len(points) + 1))
+            points += [(x, s * m), (x + R / 2.0, s * 1e-9 * m)]
+        inst = Instance(v, R, tuple(points))
+        for chunk in (1, 3, 5, _CHUNK):
+            monkeypatch.setattr(proper, "_CHUNK", chunk)
+            report = check_proper(inst, tol=0.0)
+            assert report == _dense_check_proper(inst, tol=0.0)
+            assert set(pairs) <= set(report.nesting_violations)
+
+    def test_equal_abscissas_split_by_a_chunk_boundary(self, monkeypatch):
+        # groups of points on one abscissa at several heights: their widths
+        # differ, so with small chunks each group spans several grids
+        v, R = 2.0, 10.0
+        m = _minor_radius(v, R)
+        heights = (0.9 * m, -0.5 * m, 0.2 * m, -0.05 * m, m)
+        inst = Instance(v, R, tuple((7.0 * R * g, y) for g in range(6) for y in heights))
+        calls = _count_cells(monkeypatch)
+        for chunk in (1, 4, 9, _CHUNK):
+            monkeypatch.setattr(proper, "_CHUNK", chunk)
+            calls.clear()
+            report = check_proper(inst)
+            assert report == _dense_check_proper(inst)
+            assert (0, 2) in report.nesting_violations and (4, 0) in report.nesting_violations
+            assert len(calls) > 1 or chunk == _CHUNK
+        assert len(calls) == 1
+
+    def test_a_reach_wider_than_a_chunk_is_one_grid(self, monkeypatch):
+        # a point a hair above the axis reaches every other point at tol = 0:
+        # its row alone outgrows the cell budget and is tested in one call
+        v, R, n = 2.0, 10.0, _CHUNK + 100
+        band = gen_random_band(n, v, R, 2.0 * n, 3)
+        k = n // 2
+        X, Y = band.xs.copy(), band.ys.copy()
+        Y[k] = 1e-300
+        inst = Instance(v, R, tuple(zip(X.tolist(), Y.tolist())))
+        sizes = _count_cells(monkeypatch)
         report = check_proper(inst, tol=0.0)
-        assert report == _dense_check_proper(inst, tol=0.0)
-        assert pair in report.triangle_violations
+        assert max(sizes) == n and sorted(sizes)[-2] <= _CHUNK
+        # the pairs with k against the same test run row by row
+        row = _pair_violations(X[k], Y[k], X, Y, v, R, 0.0)
+        col = _pair_violations(X, Y, X[k], Y[k], v, R, 0.0)
+        for pairs, as_a, as_b in zip((report.triangle_violations, report.nesting_violations),
+                                     row, col):
+            expected = ({(k, j) for j in np.flatnonzero(as_a).tolist() if j != k}
+                        | {(i, k) for i in np.flatnonzero(as_b).tolist() if i != k})
+            assert {p for p in pairs if k in p} == expected != set()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+    def test_chunk_size_does_not_change_the_report(self, chunk, monkeypatch):
+        # dense and sparse bands, with same-x, band-edge and near-axis points
+        v, R = 2.0, 10.0
+        dense = gen_random_band(150, v, R, 40.0, 5)
+        sparse = gen_random_band(300, v, R, 600.0, 6)
+        m = _minor_radius(v, R)
+        X, Y = sparse.xs.tolist(), sparse.ys.tolist()
+        X[10], Y[11], Y[150] = X[11], m, 1e-300
+        cases = [(dense, DEFAULT_TOL), (Instance(v, R, tuple(zip(X, Y))), 0.0)]
+        reports = [check_proper(inst, tol) for inst, tol in cases]
+        monkeypatch.setattr(proper, "_CHUNK", chunk)
+        for (inst, tol), report in zip(cases, reports):
+            assert check_proper(inst, tol) == report == _dense_check_proper(inst, tol)
 
     def test_sweep_tests_only_nearby_pairs(self, monkeypatch):
         # the n x n form would pass 4e8 cells in one call here
-        sizes = []
-
-        def counting(xa, ya, xb, yb, *rest):
-            sizes.append(np.broadcast(xa, ya, xb, yb).size)
-            return _pair_violations(xa, ya, xb, yb, *rest)
-
-        monkeypatch.setattr(proper, "_pair_violations", counting)
+        sizes = _count_cells(monkeypatch)
         inst = gen_random_band(20000, 2.0, 10.0, 40000.0, 0)
         report = check_proper(inst)
-        assert max(sizes) <= 128 * _BLOCK
-        assert sum(sizes) <= 200 * len(inst.points)
+        assert max(sizes) <= _CHUNK
+        # the points within each point's own reach, itself included
+        X = np.sort(inst.xs)
+        reach = _reach(X, inst.ys[np.argsort(inst.xs)], 2.0, 10.0, DEFAULT_TOL)
+        within = int((np.searchsorted(X, X + reach) - np.searchsorted(X, X - reach)).sum())
+        assert within <= 8 * len(X)  # 7.46 a point here
+        assert sum(sizes) <= 1.1 * within  # 1.04 here: a grid is as wide as its widest row
         assert not report.is_proper and report.nesting_violations
+
+
+def _count_cells(monkeypatch):
+    """Route proper._pair_violations through a counter; returns the list
+    that gets the cell count of each call."""
+    sizes = []
+
+    def counting(xa, ya, xb, yb, *rest):
+        sizes.append(np.broadcast(xa, ya, xb, yb).size)
+        return _pair_violations(xa, ya, xb, yb, *rest)
+
+    monkeypatch.setattr(proper, "_pair_violations", counting)
+    return sizes
 
 
 class TestShiftInvariance:
