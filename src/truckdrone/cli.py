@@ -322,9 +322,6 @@ def cmd_compare(args) -> int:
 def cmd_render(args) -> int:
     inst = load_instance(args.instance)
     sched = load_schedule(args.schedule) if args.schedule else None
-    if sched is not None:
-        # indices must resolve against this instance before drawing
-        verify_schedule(inst, sched)
     svg = render_svg(inst, sched, show_windows=args.show_windows,
                      show_ellipses=args.show_ellipses)
     _write_out(svg, args.out)

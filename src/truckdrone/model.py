@@ -236,10 +236,10 @@ def earliest_start_pack(inst: Instance, order) -> Schedule | None:
     """Launch each point of `order` as early as possible, in that order.
 
     Every launch is the later of the previous landing and the point's
-    window opening.  Returns None when some point's window has already
-    closed by then (or is out of reach entirely).
+    window opening; `order` may be any iterable and is read once.  Returns
+    None when return_position answers INFEASIBLE (a window closed, or out of band).
     """
-    n = len(inst)
+    n, order = len(inst), list(order)
     seen: set[int] = set()
     for idx in order:
         if not 0 <= idx < n:
@@ -247,15 +247,14 @@ def earliest_start_pack(inst: Instance, order) -> Schedule | None:
         if idx in seen:
             raise InvalidScheduleError(f"order repeats point {idx}")
         seen.add(idx)
-    idx = list(order)
-    xs, ys = inst.xs[idx], inst.ys[idx]
-    es, ls, _, _, in_band = (w.tolist() for w in window_arrays(xs, ys, inst.v, inst.R))
+    xs, ys = inst.xs[order], inst.ys[order]
+    es = window_arrays(xs, ys, inst.v, inst.R)[0].tolist()
     starts, rets = [], []
     cur = inst.truck_start
-    for p, first, last, ok in zip(zip(xs.tolist(), ys.tolist()), es, ls, in_band):
-        if not ok or max(cur, first) > last:
-            return None
+    for p, first in zip(zip(xs.tolist(), ys.tolist()), es):
         starts.append(max(cur, first))
         cur = return_position(starts[-1], p, inst.v, inst.R)
+        if cur == INFEASIBLE:
+            return None
         rets.append(cur)
     return Schedule._from_columns(order, starts, rets)

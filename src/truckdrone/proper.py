@@ -3,8 +3,8 @@
 An instance is proper when (a) no point lies inside the closed triangle
 spanned by another point's window endpoints on the axis and the point
 itself, and (b) no start window is contained in another.  On proper
-instances, serving points in increasing x order is never worse, which is
-what the dynamic program relies on.
+instances, serving points in increasing x order never serves fewer, which
+is what the dynamic program relies on; it may land later.
 
 Both conditions are decided in one place, `_pair_violations`, relative to
 the apex of each triangle and with tolerances scaled by R alone, so

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .geometry import reach_envelope, window_arrays
-from .model import Instance, Schedule
+from .model import Instance, Schedule, verify_schedule
 
 WIDTH = 1200.0
 HEIGHT = 400.0
@@ -42,8 +42,11 @@ def render_svg(inst: Instance, sched: Schedule | None = None,
     """Draw the band, the truck's path (red), and each flight (blue).
 
     Optional extras: start-window brackets on the axis and the full-range
-    reach ellipse of every scheduled launch.
+    reach ellipse of every scheduled launch.  A schedule is checked by
+    verify_schedule first: a bad index or a NaN launch raises its error.
     """
+    if sched is not None:
+        verify_schedule(inst, sched)
     env = reach_envelope(inst.v, inst.R)
     xs, ys = inst.xs.tolist(), inst.ys.tolist()
     lo = min(xs, default=inst.truck_start) - inst.R

@@ -198,10 +198,11 @@ def dp_table(inst: Instance) -> DpTable:
 def solve_dp_proper(inst: Instance, require_proper: bool = True) -> Schedule:
     """Maximum-delivery schedule via the x-monotone dynamic program.
 
-    Exact on proper instances.  With require_proper the instance is
-    checked first and NotProperError raised on failure; without it the
-    result is still a feasible schedule, just not necessarily optimal.
-    Ties resolve toward the earliest completion, then the leftmost rank.
+    Exact in count on proper instances.  With require_proper the instance
+    is checked first and NotProperError raised on failure; without it the
+    result is feasible, not necessarily optimal.  Ties go to the earliest
+    completion among x-monotone orders, which another order of the same
+    count may beat, then to the leftmost rank.
     """
     if require_proper:
         report = check_proper(inst)
@@ -238,15 +239,14 @@ def solve_exact(inst: Instance, max_points: int = 10) -> Schedule:
 
     def dfs(prefix: tuple[int, ...], left: tuple[int, ...], cur: float, best: tuple) -> tuple:
         # best is (length, completion, order) of the best schedule found so far
+        left = tuple(i for i in left if cur <= ls[i])  # so max(cur, es) <= ls, as es <= ls
         if len(prefix) > best[0] or (len(prefix) == best[0] and cur < best[1]):
             best = (len(prefix), cur, prefix)
-        if len(prefix) + sum(cur <= ls[i] for i in left) < best[0]:
+        if len(prefix) + len(left) < best[0]:
             return best
         for k, i in enumerate(left):
-            start = max(cur, es[i])
-            if start <= ls[i]:
-                ret = return_position(start, points[i], v, R)
-                best = dfs(prefix + (i,), left[:k] + left[k + 1:], ret, best)
+            ret = return_position(max(cur, es[i]), points[i], v, R)
+            best = dfs(prefix + (i,), left[:k] + left[k + 1:], ret, best)
         return best
 
     left = tuple(i for i, ok in enumerate(in_band) if ok)

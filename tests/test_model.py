@@ -599,6 +599,16 @@ class TestEarliestStartPack:
         inst = Instance(v=2.0, R=10.0, points=[(5.0, 1.5 * m)])
         assert earliest_start_pack(inst, (0,)) is None
 
+    @pytest.mark.parametrize("make", [lambda: iter([0, 1, 2]), lambda: (i for i in range(3)),
+                                      lambda: np.array([0, 1, 2])],
+                             ids=["iterator", "generator", "array"])
+    def test_any_iterable_packs_as_its_list(self, make):
+        # the order is read once, so an iterator's points are both checked and packed
+        inst = gen_random_proper(6, 2.0, 10.0, 0)
+        want = earliest_start_pack(inst, [0, 1, 2])
+        assert want.count == 3
+        assert earliest_start_pack(inst, make()) == want
+
     def test_invalid_orders_raise(self):
         inst = two_point_instance()
         with pytest.raises(InvalidScheduleError):

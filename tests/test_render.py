@@ -1,12 +1,15 @@
 """Tests for the SVG writer: fixed bytes, checked against the f-string writer
 it replaced."""
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truckdrone.generators import gen_random_band, gen_random_proper
 from truckdrone.geometry import reach_envelope, start_window
-from truckdrone.model import Instance, Schedule
+from truckdrone.model import Delivery, Instance, InvalidScheduleError, Schedule, verify_schedule
 from truckdrone.render import (
     AXIS_COLOR,
     DRONE_COLOR,
@@ -166,3 +169,23 @@ class TestRenderSvg:
                 svg = render_svg(inst, sched, windows, ellipses)
                 assert svg == _reference_render_svg(inst, sched, windows, ellipses)
                 assert svg.count("<ellipse") == (sched.count if ellipses else 0)
+
+    @pytest.mark.parametrize("point, start, message", [
+        (-1, 0.0, "entry 0 references point -1 of an instance with 6 points"),
+        (6, 0.0, "entry 0 references point 6 of an instance with 6 points"),
+        (0, math.nan, "entry 0 launches at NaN")])
+    def test_what_verify_refuses_is_refused_with_its_message(self, point, start, message):
+        inst = gen_random_band(6, 2.0, 10.0, x_span=40.0, seed=5)
+        sched = Schedule([Delivery(point, start, 1.0)])
+        with pytest.raises(InvalidScheduleError) as want:
+            verify_schedule(inst, sched)
+        with pytest.raises(InvalidScheduleError) as got:
+            render_svg(inst, sched)
+        assert str(got.value) == str(want.value) == message
+
+    def test_an_infeasible_schedule_is_still_drawn(self):
+        # verify's refusal is for malformed entries only; a late launch draws
+        inst = gen_random_band(6, 2.0, 10.0, x_span=40.0, seed=5)
+        sched = Schedule([Delivery(1, 40.0, 41.0)])
+        assert not verify_schedule(inst, sched).feasible
+        assert render_svg(inst, sched, True, True) == _reference_render_svg(inst, sched, True, True)

@@ -492,6 +492,41 @@ def _reference_solve_exact(inst, max_points=10):
     return sched
 
 
+def _subset_optimum(inst):
+    """(count, last landing) of an optimum, by a dynamic program over subsets.
+
+    E(S), the earliest landing after serving exactly the set S, is the
+    minimum over j in S of L_j(E(S - j)), which is exact as every landing
+    L_j is nondecreasing in the launch.  The optimum is the largest |S| with
+    a finite E(S), and its last landing the least such E(S).  One
+    return_positions call per popcount layer and point; 2**n floats of memory.
+    """
+    n = len(inst)
+    windows = window_arrays(inst.xs, inst.ys, inst.v, inst.R)
+    masks = np.arange(1 << n)
+    popcount = np.zeros(1 << n, dtype=int)
+    for j in range(n):
+        popcount += (masks >> j) & 1
+    E = np.full(1 << n, np.inf)
+    E[0] = inst.truck_start
+    best = (0, inst.truck_start)
+    for k in range(1, n + 1):
+        layer = masks[popcount == k]
+        for j in range(n):
+            S = layer[(layer >> j) & 1 == 1]
+            land = return_positions(E[S ^ (1 << j)], inst.xs[j], inst.ys[j], inst.v, inst.R,
+                                    tuple(w[j] for w in windows))
+            E[S] = np.minimum(E[S], land)
+        if not np.isfinite(E[layer]).any():
+            break
+        best = (k, float(E[layer].min()))
+    return best
+
+
+def _count_and_last(inst, sched):
+    return sched.count, sched.rets[-1] if sched.count else inst.truck_start
+
+
 def _recorded(search, inst):
     """search's schedule and the arguments of every landing its DFS makes,
     the point recorded by value as (x, y)."""
@@ -546,6 +581,53 @@ class TestExactMatchesReference:
         for search in (solve_exact, _reference_solve_exact):
             with pytest.raises(BudgetError, match="instance has 5 points, budget is 4"):
                 search(inst, max_points=4)
+
+
+class TestSubsetOptimum:
+    """The exact search, the DP and greedy against the subset-DP oracle."""
+
+    @settings(max_examples=150)
+    @given(
+        v=st.sampled_from([1.05, 1.5, 2.0, 4.0]),
+        R=st.sampled_from([0.5, 6.0, 10.0, 100.0]),
+        n=st.integers(6, 10),
+        seed=st.integers(0, 10_000),
+        family=st.sampled_from(["band", "dense", "lifted"]),
+        T=st.sampled_from([0.0, 1e6]),
+    )
+    def test_exact_search_equals_the_oracle(self, v, R, n, seed, family, T):
+        inst = gen_random_band(n, v, R, x_span=(1.0 if family == "dense" else 4.0) * R, seed=seed)
+        if family == "lifted":
+            inst = _edge_and_lifted(inst)
+        inst = _shifted(inst, T)
+        assert _count_and_last(inst, solve_exact(inst)) == _subset_optimum(inst)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("v", [1.5, 2.0, 4.0])
+    def test_exact_search_equals_the_oracle_on_the_tightness_family(self, k, v):
+        inst, _ = gen_greedy_tightness(k, v, 10.0)
+        optimum = _subset_optimum(inst)
+        assert optimum[0] == 2 * k and _count_and_last(inst, solve_exact(inst)) == optimum
+
+    @settings(max_examples=40)
+    @given(n=st.integers(8, 16), v=st.sampled_from([1.2, 2.0, 3.0, 7.0]),
+           seed=st.integers(0, 10_000))
+    def test_dp_count_equals_the_oracle_on_proper_instances(self, n, v, seed):
+        # by count only: the DP's completion is the earliest among x-monotone
+        # orders, which another order of the same size may beat
+        inst = gen_random_proper(n, v, 10.0, seed)
+        assert solve_dp_proper(inst).count == _subset_optimum(inst)[0]
+
+    @settings(max_examples=40)
+    @given(n=st.integers(8, 16), v=st.sampled_from([1.2, 2.0, 3.0, 7.0]),
+           span=st.sampled_from([10.0, 40.0, 160.0]), seed=st.integers(0, 10_000))
+    def test_greedy_serves_at_least_half_the_oracle(self, n, v, span, seed):
+        inst = gen_random_band(n, v, 10.0, x_span=span, seed=seed)
+        assert 2 * solve_greedy(inst).count >= _subset_optimum(inst)[0]
+
+    def test_greedy_serves_half_the_oracle_on_the_tightness_family(self):
+        inst, _ = gen_greedy_tightness(8, 2.0, 10.0)
+        assert 2 * solve_greedy(inst).count == _subset_optimum(inst)[0] == 16
 
 
 class TestDpTable:

@@ -14,8 +14,9 @@ and `render` with every flag pair, and instances on both sides of the
 numeric domain's bounds: a point exactly at the scale 2**40 * R / v and
 one an ulp past it, and files at the edges of double precision (a band that
 underflows to 0, flights that would overflow to inf or NaN, a point at the
-largest double), which every command refuses at load, and a launch that
-waits for its window and lands exactly on the next window's closing.
+largest double), which every command refuses at load, a launch that
+waits for its window and lands exactly on the next window's closing, and
+a truck that starts past the windows of its first points.
 
 Before comparing, the temporary directory reads `<work>`, the tree's own
 path `<src>`, and every `wall_s` value `<wall_s>`.  Exit status: 0 when
@@ -97,6 +98,11 @@ FIXED_FILES = {
     "waiting_launch.json": ('{"v": 2.0, "R": 3.503562197968246e18, "truck_start": '
                             '-3.503562197968246e18, "points": [{"x": 0.0, "y": 1.0}, '
                             '{"x": -1.0, "y": 1.5170869335896727e18}]}'),
+    # a truck that starts past the windows of its first three points
+    "late_start.json": ('{"v": 2.0, "R": 10.0, "truck_start": 5.0, "points": [{"x": 0.0, '
+                        '"y": 1.0}, {"x": 1.0, "y": -2.0}, {"x": 2.0, "y": 3.0}, {"x": 3.0, '
+                        '"y": 1.0}, {"x": 9.0, "y": 1.5}, {"x": 12.0, "y": -2.5}, {"x": 14.0, '
+                        '"y": 3.5}, {"x": 16.0, "y": 5.0}, {"x": 20.0, "y": 1.0}]}'),
 }
 
 
@@ -160,7 +166,8 @@ def corpus() -> list[tuple[str, ...]]:
     cmds.append(("gen", "partition", "--values", ",".join(["1" + "0" * 310] * 3)))
     cmds.append(("gen", "partition", "--c", "-100000"))
     for name in ("far", "empty", "huge_scale", "thin_band", "nan_return", "inf_return", "max_x",
-                 "tiny_R", "fast_drone", "domain_edge", "past_domain_edge", "waiting_launch"):
+                 "tiny_R", "fast_drone", "domain_edge", "past_domain_edge", "waiting_launch",
+                 "late_start"):
         cmds += _instance_commands(name, False)
     for bad in ("bad_json", "missing_R", "nan", "on_axis", "int_past_range", "no_such_file"):
         cmds.append(("solve", "--algo", "greedy", "--input", f"{bad}.json"))
