@@ -35,7 +35,7 @@ from .model import (
 )
 from .proper import NotProperError, check_proper
 from .render import render_svg
-from .solvers import BudgetError, solve_dp_proper, solve_exact, solve_greedy
+from .solvers import BudgetError, solve_exact, solve_greedy, solve_sweep
 
 
 class CliError(Exception):
@@ -214,7 +214,7 @@ def schedule_to_json(sched: Schedule) -> str:
 # name -> solver(inst, args); a refusal raises NotProperError or BudgetError
 SOLVERS = {
     "greedy": lambda inst, args: solve_greedy(inst),
-    "dp": lambda inst, args: solve_dp_proper(inst, require_proper=not args.allow_nonproper),
+    "dp": lambda inst, args: solve_sweep(inst, require_proper=not args.allow_nonproper),
     "exact": lambda inst, args: solve_exact(inst, max_points=args.max_points),
 }
 

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
 
 from .geometry import _half_width, reach_envelope
 from .model import DEFAULT_TOL, Instance, earliest_start_pack, verify_schedule
@@ -122,38 +121,42 @@ def gen_random_proper(n: int, v: float, R: float, seed: int) -> Instance:
     Each candidate is placed right of the previous point so that its window
     staggers after the previous one.  It must stay clear of every earlier
     point's triangle, keep its own triangle clear of them, and nest in no
-    earlier window nor contain one; `proper._pair_violations` decides this
-    in both directions, against the points within `proper._reach` only, at
-    a tolerance well above the checker's.  Candidates violating that are
-    rejected and redrawn; after _MAX_REJECTIONS the generator gives up.
+    earlier window nor contain one.  The accepted points are kept as lists
+    of x, y and window half-width; `bisect` finds the first one within
+    `proper._reach` of the candidate, and `proper._pair_violations` tests
+    the candidate against each of those few neighbours, on floats, in both
+    directions, at a tolerance well above the checker's.  Candidates
+    violating that are rejected and redrawn; after _MAX_REJECTIONS the
+    generator gives up.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     env = reach_envelope(v, R)
     M, m, F = env.major_radius, env.minor_radius, env.focal_gap
     rng = random.Random(seed)
-    xs, ys = np.empty(n), np.empty(n)
-    k = rejections = reach = 0
-    while k < n:
+    xs, ys, hs = [], [], []  # ascending x, and each point's window half-width
+    rejections = reach = 0
+    while len(xs) < n:
         mag = rng.uniform(0.08 * m, 0.95 * m)
         y = mag if rng.random() < 0.5 else -mag
         half = float(_half_width(y, v, R))
-        if k == 0:
+        if not xs:
             x = rng.uniform(0.0, M)
         else:
-            px = xs[k - 1]
+            px = xs[-1]
             prev_half = last_ls - (px - F / 2.0)
             slack = abs(prev_half - half)
             x = px + slack + rng.uniform(0.05, 1.2) * (F / 2.0 + max(prev_half, half))
-        own = float(_reach(x, y, v, R, _GEN_TOL))
-        a = int(np.searchsorted(xs[:k], x - max(reach, own)))  # xs[:k] ascend
-        earlier = _pair_violations(xs[a:k], ys[a:k], x, y, v, R, _GEN_TOL)
-        later = _pair_violations(x, y, xs[a:k], ys[a:k], v, R, _GEN_TOL)
-        if not any(hits.any() for hits in (*earlier, *later)):
-            xs[k], ys[k] = x, y
+        own = float(_reach(x, y, v, R, _GEN_TOL, half))
+        a = bisect_left(xs, x - max(reach, own))
+        if not any(any(_pair_violations(xa, ya, x, y, v, R, _GEN_TOL, ha, half))
+                   or any(_pair_violations(x, y, xa, ya, v, R, _GEN_TOL, half, ha))
+                   for xa, ya, ha in zip(xs[a:], ys[a:], hs[a:])):
+            xs.append(x)
+            ys.append(y)
+            hs.append(half)
             last_ls = x - F / 2.0 + half
             reach = max(reach, own)
-            k += 1
         else:
             rejections += 1
             if rejections > _MAX_REJECTIONS:

@@ -86,10 +86,12 @@ def _pair_violations(xa, ya, xb, yb, v: float, R: float, tol: float, ha=None, hb
     return triangle, nested
 
 
-def _reach(xa, ya, v: float, R: float, tol: float):
+def _reach(xa, ya, v: float, R: float, tol: float, ha=None):
     """|x_b - x_a| up to which b can violate a: w_a + tol*R*(w_a + R)/|y_a| (triangle)
-    or R/2 - h_a + tol*R (nesting), padded for rounding; arrays work too."""
-    slack, ha = (tol + 1e-12) * R, _half_width(ya, v, R)  # 1e-12 covers the pair test's rounding
+    or R/2 - h_a + tol*R (nesting), padded for rounding; arrays work too.  A caller
+    that holds a's half-width passes it as ha."""
+    ha = _half_width(ya, v, R) if ha is None else ha
+    slack = (tol + 1e-12) * R  # 1e-12 covers the pair test's rounding
     wa = R / (2.0 * v) + ha
     with np.errstate(over="ignore"):  # |y| near 0: an infinite reach
         reach = np.maximum(wa + slack * (wa + R) / np.abs(ya), R / 2.0 - ha + slack)

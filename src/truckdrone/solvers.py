@@ -1,6 +1,7 @@
-"""Schedulers: greedy, exact dynamic program for proper instances, brute force.
+"""Schedulers: greedy, exact dynamic program for proper instances (the
+patience sweep, and the paper's cubic table as its reference), brute force.
 
-All three return a Schedule whose launches are as early as possible for
+All four return a Schedule whose launches are as early as possible for
 the order they commit to.  Ties are broken deterministically, so repeated
 runs on the same instance produce identical schedules.
 """
@@ -8,7 +9,7 @@ runs on the same instance produce identical schedules.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,7 +197,8 @@ def dp_table(inst: Instance) -> DpTable:
 
 
 def solve_dp_proper(inst: Instance, require_proper: bool = True) -> Schedule:
-    """Maximum-delivery schedule via the x-monotone dynamic program.
+    """Maximum-delivery schedule via the x-monotone dynamic program: the
+    paper's cubic reference, which solve_sweep matches in count and last landing.
 
     Exact in count on proper instances.  With require_proper the instance
     is checked first and NotProperError raised on failure; without it the
@@ -219,6 +221,55 @@ def solve_dp_proper(inst: Instance, require_proper: bool = True) -> Schedule:
     sched = earliest_start_pack(inst, order)
     if sched is None:  # cannot happen: pack lands on the table's own cells
         raise RuntimeError("dynamic program produced an unpackable order")
+    return sched
+
+
+def solve_sweep(inst: Instance, require_proper: bool = True) -> Schedule:
+    """Maximum-delivery schedule by a patience sweep over dp_table's recurrence.
+
+    Points are ranked by (x, y, index), as dp_table ranks them.  P[r] is the
+    earliest landing of any r-delivery chain over the ranks seen so far, and
+    P[0] is truck_start; P strictly increases.  Rank j lands at er from a
+    launch at or before es, flies from one in (es, ls], and its landing never
+    falls as the launch grows, so it can lower only P[r + 1] for r in
+    [lo, hi): hi counts the P[r] <= ls, and lo is the last r with P[r] <= es,
+    or 0.  r walks down, so each update reads the old P[r].  An update must
+    land strictly earlier: on a tie the lower rank keeps the cell.  Time is
+    O(n log n + the sum of hi - lo), memory linear in the updates.
+
+    The count and last landing equal dp_table's bit for bit, so the count is
+    the optimum on proper instances.  With require_proper the instance is
+    checked first and NotProperError raised on failure; without it the
+    result is feasible, not necessarily optimal.  The completion is the
+    earliest among x-monotone orders only; another order of the same count
+    may land earlier.
+    """
+    if require_proper:
+        report = check_proper(inst)
+        if not report.is_proper:
+            raise NotProperError(report)
+    v, order = inst.v, np.lexsort((inst.ys, inst.xs))  # stable, so ties keep index order
+    xs, ys = inst.xs[order], inst.ys[order]
+    es, ls, er, _, in_band = window_arrays(xs, ys, v, inst.R)
+    best, chains = [inst.truck_start], [()]  # P, and each cell's chain as (rank, rest)
+    keep = np.flatnonzero(in_band)
+    for j, x, y, es_j, ls_j, er_j in zip(keep.tolist(),
+                                         *(a[keep].tolist() for a in (xs, ys, es, ls, er))):
+        hi, lo = bisect_right(best, ls_j), max(bisect_right(best, es_j) - 1, 0)
+        for r in range(hi - 1, lo - 1, -1):
+            land = _land(best[r], x, y, es_j, er_j, v)
+            if r + 1 == len(best):
+                best.append(land)
+                chains.append((j, chains[r]))
+            elif land < best[r + 1]:
+                best[r + 1], chains[r + 1] = land, (j, chains[r])
+    ranks, chain, picks = order.tolist(), chains[-1], []
+    while chain:
+        j, chain = chain
+        picks.append(ranks[j])
+    sched = earliest_start_pack(inst, picks[::-1])
+    if sched is None:  # cannot happen: pack lands on the sweep's own cells
+        raise RuntimeError("patience sweep produced an unpackable order")
     return sched
 
 

@@ -192,6 +192,21 @@ class TestGenRandomProper:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "f5c7e5e3b79f002712e437d2537203b67e43fb1b1f85844399fea9b8778896df")
 
+    @pytest.mark.parametrize("n, v, seed, digest", [
+        (10_000, 2.0, 1, "0d544d1b7804f273cfb096bcbcb9caf387bf97be258424947229709ef9931408"),
+        (300, 1.05, 3, "4d304fb000c9fa55f98b4ce58dbdbbb6f42270a44c12f478faef9cf3aa48f900"),
+    ])
+    def test_draw_sequence_is_pinned_at_scale_and_for_a_slow_drone(self, n, v, seed, digest):
+        inst = gen_random_proper(n, v=v, R=10.0, seed=seed)
+        text = ",".join(f"{x.hex()}:{y.hex()}" for x, y in zip(inst.xs.tolist(), inst.ys.tolist()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_gives_up_at_the_first_rejection_past_the_limit(self, monkeypatch):
+        assert len(gen_random_proper(300, v=1.05, R=10.0, seed=3)) == 300
+        monkeypatch.setattr(generators, "_MAX_REJECTIONS", 0)
+        with pytest.raises(GenerationError, match="gave up after 0 rejected candidates"):
+            gen_random_proper(300, v=1.05, R=10.0, seed=3)
+
     def test_deterministic(self):
         a = gen_random_proper(6, v=2.0, R=10.0, seed=11)
         b = gen_random_proper(6, v=2.0, R=10.0, seed=11)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truckdrone import solvers
+from truckdrone import cli, solvers
 from truckdrone.generators import gen_greedy_tightness, gen_random_band, gen_random_proper
 from truckdrone.geometry import (
     _flight_time,
@@ -39,6 +39,7 @@ from truckdrone.solvers import (
     solve_dp_proper,
     solve_exact,
     solve_greedy,
+    solve_sweep,
 )
 
 from oracles import meeting_return
@@ -1076,3 +1077,111 @@ class TestTranslation:
         inst = gen_random_band(200, v=2.0, R=10.0, x_span=400.0, seed=4)
         base = solve_greedy(inst)
         assert_shifted_by(base, solve_greedy(_shifted(inst, 1e6)), 1e6, inst.R)
+
+
+def _table_count_and_last(inst):
+    table = dp_table(inst)
+    if not len(table.completions):
+        return 0, inst.truck_start
+    return len(table.completions), float(table.completions[-1].min())
+
+
+def assert_sweep_matches_table(inst):
+    """Count and last landing equal dp_table's bit for bit; the order packs
+    through earliest_start_pack and verifies."""
+    sched = solve_sweep(inst, require_proper=False)
+    assert _count_and_last(inst, sched) == _table_count_and_last(inst)
+    assert earliest_start_pack(inst, sched.order) == sched
+    assert verify_schedule(inst, sched).feasible
+    return sched
+
+
+def _drawn(seed, family):
+    """The differential's instances: n = 5-64 and v = 1.2-7.2, drawn from the seed."""
+    rng = random.Random(seed)
+    n, v = rng.randint(5, 64), rng.uniform(1.2, 7.2)
+    if family == "proper":
+        return gen_random_proper(n, v, 10.0, seed)
+    return gen_random_band(n, v, 10.0, x_span=rng.uniform(0.5, 4.0) * n, seed=seed)
+
+
+class TestSweep:
+    """The patience sweep against dp_table, the subset-DP oracle and greedy."""
+
+    @pytest.mark.parametrize("family", ["proper", "band"])
+    def test_matches_the_table(self, family):
+        for seed in range(100):
+            assert_sweep_matches_table(_drawn(seed, family))
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_property_generated_families(self, data):
+        # the families of the table's own property: sparse and dense bands,
+        # proper instances and lifted bands, near the origin and far along the road
+        kind = data.draw(st.sampled_from(["band", "dense", "proper", "lifted"]))
+        v = data.draw(st.sampled_from([1.05, 2.0, 50.0]))
+        R = data.draw(st.sampled_from([1.0, 10.0]))
+        n, seed = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 10_000))
+        if kind == "proper":
+            inst = gen_random_proper(n, v, R, seed=seed)
+        else:
+            inst = gen_random_band(n, v, R, x_span=R if kind == "dense" else 3.0 * R + n,
+                                   seed=seed)
+        if kind == "lifted":
+            inst = _edge_and_lifted(inst)
+        assert_sweep_matches_table(_shifted(inst, data.draw(st.sampled_from([0.0, 1e6]))))
+
+    @settings(max_examples=40)
+    @given(n=st.integers(5, 14), v=st.sampled_from([1.2, 2.0, 3.0, 7.0]),
+           seed=st.integers(0, 10_000))
+    def test_count_equals_the_oracle_on_proper_instances(self, n, v, seed):
+        inst = gen_random_proper(n, v, 10.0, seed)
+        assert solve_sweep(inst).count == _subset_optimum(inst)[0]
+
+    @settings(max_examples=30)
+    @given(
+        T=st.sampled_from([1e3, 1e5, 1e6]),
+        v=st.sampled_from([1.5, 2.0, 4.0]),
+        seed=st.integers(0, 10_000),
+        proper=st.booleans(),
+    )
+    def test_shift_moves_the_completion_by_T(self, T, v, seed, proper):
+        if proper:
+            inst = gen_random_proper(40, v=v, R=10.0, seed=seed)
+        else:
+            inst = gen_random_band(40, v=v, R=10.0, x_span=80.0, seed=seed)
+        assert_shifted_by(solve_sweep(inst, require_proper=proper),
+                          solve_sweep(_shifted(inst, T), require_proper=proper), T, inst.R)
+
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_within_the_papers_factor_of_greedy_at_scale(self, n, seed):
+        inst = gen_random_proper(n, 2.0, 10.0, seed)
+        greedy = solve_greedy(inst).count
+        assert greedy <= solve_sweep(inst).count <= 2 * greedy
+
+    def test_rejects_nonproper(self):
+        inst, _ = gen_greedy_tightness(2, v=2.0, R=10.0)
+        with pytest.raises(NotProperError):
+            solve_sweep(inst)
+        assert verify_schedule(inst, solve_sweep(inst, require_proper=False)).feasible
+
+    def test_empty_and_unservable(self):
+        assert solve_sweep(Instance(2.0, 10.0, [])) == Schedule(())
+        late = Instance(2.0, 10.0, [(0.0, 1.0), (1.0, 9.0)], truck_start=50.0)
+        assert solve_sweep(late, require_proper=False) == Schedule(())
+
+    def test_a_tie_keeps_the_lower_rank(self):
+        # mirror images share a window, so both land at the same er; the one
+        # below the axis ranks first and keeps the cell
+        inst = Instance(2.0, 10.0, [(0.0, 4.3), (0.0, -4.3)], truck_start=-10.0)
+        assert solve_sweep(inst, require_proper=False).order == (1,)
+
+    def test_the_cli_dp_is_the_sweep(self):
+        # proper seed 69 of the differential is a tie case: same count and
+        # last landing as solve_dp_proper, another order
+        inst = _drawn(69, "proper")
+        sweep, cubic = solve_sweep(inst), solve_dp_proper(inst)
+        assert sweep != cubic and _count_and_last(inst, sweep) == _count_and_last(inst, cubic)
+        args = cli._build_parser().parse_args(["solve", "--algo", "dp", "--input", "-"])
+        assert cli.SOLVERS["dp"](inst, args) == sweep

@@ -8,7 +8,7 @@ OLD_SRC and NEW_SRC are directories that hold the `truckdrone` package
 temporary directory, with PYTHONPATH set to the tree, so later commands
 read the files earlier ones wrote: instances from `gen`, schedules from
 `solve`.  The corpus covers `gen` of every kind over several seeds, `solve`
-with greedy, dp (on up to 150 points, some out of band) and exact,
+with greedy, dp (on up to 1,000 points, some out of band) and exact,
 `verify` and `check-proper` on good and malformed files, `compare --json`
 and `render` with every flag pair, and instances on both sides of the
 numeric domain's bounds: a point exactly at the scale 2**40 * R / v and
@@ -158,6 +158,14 @@ def corpus() -> list[tuple[str, ...]]:
     cmds += [("solve", "--algo", "dp", "--input", "proper150.json", "--output", "proper150.dp.json"),
              ("verify", "--instance", "proper150.json", "--schedule", "proper150.dp.json"),
              ("compare", "--json", "--input", "proper150.json", "--algos", "greedy,dp")]
+    # 1,000 proper points: generation at a size with many rejected candidates
+    cmds.append(("gen", "random-proper", "--n", "1000", "--seed", "1", "--out", "proper1000.json"))
+    cmds += [("check-proper", "--input", "proper1000.json"),
+             ("solve", "--algo", "greedy", "--input", "proper1000.json",
+              "--output", "proper1000.greedy.json"),
+             ("solve", "--algo", "dp", "--input", "proper1000.json",
+              "--output", "proper1000.dp.json"),
+             ("compare", "--json", "--input", "proper1000.json", "--algos", "greedy,dp")]
     cmds += [("solve", "--algo", "dp", "--allow-nonproper", "--input", "lifted150.json",
               "--output", "lifted150.dp.json"),
              ("verify", "--instance", "lifted150.json", "--schedule", "lifted150.dp.json"),
