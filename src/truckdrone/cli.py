@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from operator import itemgetter
 
 from .generators import (
     GenerationError,
@@ -49,6 +50,7 @@ class CliError(Exception):
 _KINDS = (float, dict, list, tuple, str, bool, int, type(None))
 _quote = json.encoder.encode_basestring_ascii  # what json.dumps does with a str
 _XY = {"x", "y"}  # the fields of an instance file's point
+_X, _Y = itemgetter("x"), itemgetter("y")
 
 
 def _emit(value, pad: str = "") -> str:
@@ -138,15 +140,15 @@ def load_instance(path: str) -> Instance:
     s0 = _need_number(data, "truck_start", path) if "truck_start" in data else 0.0
     if not isinstance(entries := data["points"], list):
         raise CliError(f"{path}: 'points' must be an array")
-    if all(type(e) is dict and e.keys() == _XY for e in entries):  # the column fast path
-        xs, ys = [e["x"] for e in entries], [e["y"] for e in entries]
-        kinds = {*map(type, xs), *map(type, ys)}  # an int past any float would round into it
-        if kinds <= {float, int} and (int not in kinds
-                                      or max(map(abs, xs + ys)) <= sys.float_info.max):
-            try:
+    try:  # the column fast path: every entry an object of two fields, x and y
+        if set(map(type, entries)) <= {dict} and set(map(len, entries)) <= {2}:
+            xs, ys = list(map(_X, entries)), list(map(_Y, entries))
+            kinds = {*map(type, xs), *map(type, ys)}  # an int past any float would round into it
+            if kinds <= {float, int} and (int not in kinds
+                                          or max(map(abs, xs + ys)) <= sys.float_info.max):
                 return Instance._from_columns(v, R, xs, ys, truck_start=s0)
-            except ValueError:
-                pass  # the checks below name the first bad field, in file order
+    except (KeyError, ValueError):  # two fields but not x and y, or a value refused
+        pass  # the checks below name the first bad field, in file order
     pts = []
     for i, entry in enumerate(entries):
         where = f"{path}: points[{i}]"
@@ -203,8 +205,13 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def schedule_to_json(sched: Schedule) -> str:
-    entries = [f'    {{\n      "point": {i},\n      "start": {s:.17g},\n      "return": {r:.17g}'
-               '\n    }' for i, s, r in zip(sched.order, sched.starts, sched.rets)]
+    entries, landed, text = [], math.nan, ""
+    for i, s, r in zip(sched.order, sched.starts, sched.rets):
+        # a launch at the previous landing takes its text: equal nonzero doubles print alike
+        start = text if s == landed and s else f"{s:.17g}"
+        landed, text = r, f"{r:.17g}"
+        entries.append(f'    {{\n      "point": {i},\n      "start": {start},\n'
+                       f'      "return": {text}\n    }}')
     return _document('{\n  "deliveries": ', entries, f',\n  "count": {sched.count}\n}}\n')
 
 

@@ -9,7 +9,7 @@ runs on the same instance produce identical schedules.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +40,16 @@ def solve_greedy(inst: Instance) -> Schedule:
     point in the instance's numeric domain (geometry._check_params).  With
     none landed, the truck drives to the next opening.
     Among landings within GREEDY_TIE_TOL * R of the earliest, the leftmost
-    point wins, then the lowest index.
+    point wins, then the lowest index.  Points of equal x share every bound,
+    so their order in the list changes no landing made and no pick.
     """
-    v, xs, ys = inst.v, inst.xs.tolist(), inst.ys.tolist()
-    es, ls, er, _, in_band = (w.tolist() for w in window_arrays(inst.xs, inst.ys, v, inst.R))
-    order = sorted((i for i, ok in enumerate(in_band) if ok), key=es.__getitem__)
+    v = inst.v
+    es, ls, er, _, in_band = window_arrays(inst.xs, inst.ys, v, inst.R)
+    # every per-point list is held in admission order, so the sweep reads it in
+    # sequence; hs holds |y|, which lands as y does, since _land squares it
+    index = sorted(np.flatnonzero(in_band).tolist(), key=es.tolist().__getitem__)
+    at = np.array(index, dtype=np.intp)
+    xs, hs, es, ls, er = (a[at].tolist() for a in (inst.xs, np.abs(inst.ys), es, ls, er))
     # a flight from dx = s - x lasts at least 2|y|/sqrt(v^2 - 1), 2dx/(v - 1)
     # behind the point and -2dx/(v + 1) ahead of it; the slack covers the
     # formula's rounding, which grows as v -> 1
@@ -52,48 +57,47 @@ def solve_greedy(inst: Instance) -> Schedule:
     rise, behind, ahead = (slack * c for c in (2.0 / math.sqrt(v * v - 1.0),
                                                2.0 / (v - 1.0), 2.0 / (v + 1.0)))
     tie, half = GREEDY_TIE_TOL * inst.R, inst.R / 2.0
-    opens = [es[i] for i in order] + [math.inf]  # in admission order, then past the last
+    opens, x_of = es + [math.inf], xs.__getitem__  # in admission order, then past the last
     s, admitted = inst.truck_start, 0
-    live: list[tuple[float, int]] = []  # admitted, unserved points as (x, index), ascending
+    live: list[int] = []  # admitted, unserved points by position, ascending in x
     picks, starts, rets = [], [], []
     while s < math.inf:
         while opens[admitted] <= s:
-            i = order[admitted]
-            insort(live, (xs[i], i))
+            live.insert(bisect_right(live, xs[admitted], key=x_of), admitted)
             admitted += 1
-        if behind_s := bisect_left(live, (s - half, -1)):
-            del live[:behind_s]
+        if live and xs[live[0]] < s - half:
+            del live[:bisect_left(live, s - half, key=x_of)]
         # walk out from s, lower bound first, until the bound passes the cutoff
-        lo = hi = bisect_left(live, (s, -1))
+        lo = hi = bisect_left(live, s, key=x_of)
         size, cutoff, lands = len(live), math.inf, []
-        b_hi = (live[hi][0] - s) * ahead if hi < size else math.inf
-        b_lo = (s - live[lo - 1][0]) * behind if lo else math.inf
+        b_hi = (xs[live[hi]] - s) * ahead if hi < size else math.inf
+        b_lo = (s - xs[live[lo - 1]]) * behind if lo else math.inf
         while lo or hi < size:
             # only the walked side's bound moves; dropping the walked point moves neither
             if b_hi <= b_lo:
                 if s + b_hi > cutoff:
                     break
                 k, hi = hi, hi + 1
-                b_hi = (live[hi][0] - s) * ahead if hi < size else math.inf
+                b_hi = (xs[live[hi]] - s) * ahead if hi < size else math.inf
             else:
                 if s + b_lo > cutoff:
                     break
                 lo = k = lo - 1
-                b_lo = (s - live[lo - 1][0]) * behind if lo else math.inf
-            x, i = live[k]
-            if ls[i] < s:  # closed: drop it; the walked points are live[lo:hi]
+                b_lo = (s - xs[live[lo - 1]]) * behind if lo else math.inf
+            p = live[k]
+            if ls[p] < s:  # closed: drop it; the walked points are live[lo:hi]
                 del live[k]
                 hi, size = hi - 1, size - 1
-            elif s + abs(ys[i]) * rise <= cutoff:
-                r = _land(s, x, ys[i], es[i], er[i], v)
-                lands.append((x, i, r))
+            elif s + hs[p] * rise <= cutoff:
+                r = _land(s, xs[p], hs[p], es[p], er[p], v)
+                lands.append((xs[p], index[p], r, p))
                 if r + tie < cutoff:
                     cutoff = r + tie
         if not lands:  # drive to the next opening, or past the last
             s = opens[admitted]
             continue
-        _, pick, ret = min(c for c in lands if c[2] <= cutoff)  # frees the lr list
-        del live[bisect_left(live, (xs[pick], pick))]
+        x, pick, ret, p = lands[0] if len(lands) == 1 else min(c for c in lands if c[2] <= cutoff)
+        del live[live.index(p, bisect_left(live, x, key=x_of))]
         picks.append(pick)
         starts.append(s)
         rets.append(ret)

@@ -8,7 +8,7 @@ OLD_SRC and NEW_SRC are directories that hold the `truckdrone` package
 temporary directory, with PYTHONPATH set to the tree, so later commands
 read the files earlier ones wrote: instances from `gen`, schedules from
 `solve`.  The corpus covers `gen` of every kind over several seeds, `solve`
-with greedy, dp (on up to 1,000 points, some out of band) and exact,
+with greedy and dp (on up to 5,000 points, some out of band) and exact,
 `verify` and `check-proper` on good and malformed files, `compare --json`
 and `render` with every flag pair, and instances on both sides of the
 numeric domain's bounds: a point exactly at the scale 2**40 * R / v and
@@ -166,6 +166,14 @@ def corpus() -> list[tuple[str, ...]]:
              ("solve", "--algo", "dp", "--input", "proper1000.json",
               "--output", "proper1000.dp.json"),
              ("compare", "--json", "--input", "proper1000.json", "--algos", "greedy,dp")]
+    # 5,000 band points: the column reader and the schedule writer at size
+    cmds.append(("gen", "random", "--n", "5000", "--x-span", "10000", "--seed", "2",
+                 "--out", "band5000.json"))
+    cmds += [("solve", "--algo", "greedy", "--input", "band5000.json",
+              "--output", "band5000.greedy.json"),
+             ("verify", "--instance", "band5000.json", "--schedule", "band5000.greedy.json"),
+             ("solve", "--algo", "dp", "--allow-nonproper", "--input", "band5000.json",
+              "--output", "band5000.dp.json")]
     cmds += [("solve", "--algo", "dp", "--allow-nonproper", "--input", "lifted150.json",
               "--output", "lifted150.dp.json"),
              ("verify", "--instance", "lifted150.json", "--schedule", "lifted150.dp.json"),
