@@ -26,7 +26,6 @@ from .generators import (
     gen_random_proper,
     gen_three_partition,
 )
-from .jsonrows import _int_rows
 from .model import (
     DEFAULT_TOL,
     DeliveryPoint,
@@ -51,6 +50,20 @@ _KINDS = (float, dict, list, tuple, str, bool, int, type(None))
 _quote = json.encoder.encode_basestring_ascii  # what json.dumps does with a str
 _XY = {"x", "y"}  # the fields of an instance file's point
 _X, _Y = itemgetter("x"), itemgetter("y")
+
+
+def _int_rows(value, inner: str) -> str:
+    """A list of ints, or of equal rows of ints, as JSON items by one %-format;
+    "" for anything else.  Each item sits on its own line after inner."""
+    if set(map(type, value)) == {int}:
+        return ",\n".join([inner + "%d"] * len(value)) % tuple(value)
+    if not set(map(type, value)) <= {list, tuple} or len(set(map(len, value))) != 1:
+        return ""
+    flat = [e for row in value for e in row]
+    if set(map(type, flat)) != {int}:
+        return ""
+    row = "[\n" + ",\n".join([inner + "  %d"] * len(value[0])) + f"\n{inner}]"
+    return ",\n".join([inner + row] * len(value)) % tuple(flat)
 
 
 def _emit(value, pad: str = "") -> str:

@@ -55,7 +55,7 @@ class NotProperError(ValueError):
         super().__init__("instance is not proper: " + "; ".join(parts))
 
 
-def _pair_violations(xa, ya, xb, yb, v: float, R: float, tol: float, ha=None, hb=None):
+def _pair_violations(xa, ya, xb, yb, v: float, R: float, tol: float, ha, hb):
     """Properness tests of point b against point a; arrays broadcast.
 
     Returns (triangle, nested): b lies in a's closed triangle, and a's
@@ -68,11 +68,9 @@ def _pair_violations(xa, ya, xb, yb, v: float, R: float, tol: float, ha=None, hb
     Every window is centred R/(2v) left of its point, so a's nests in b's
     iff |x_b - x_a| <= h_b - h_a.  The tolerance is tol*R^2 on the area
     form and tol*R on lengths.  Only x_b - x_a enters, so a shift of both
-    points changes nothing.  Both points must lie in the band.  A caller
-    that holds the half-widths passes them as ha and hb.
+    points changes nothing.  Both points must lie in the band; ha and hb
+    are their half-widths, `_half_width(ya)` and `_half_width(yb)`.
     """
-    ha = _half_width(ya, v, R) if ha is None else ha
-    hb = _half_width(yb, v, R) if hb is None else hb
     wa = R / (2.0 * v) + ha
     sa, depth = np.sign(ya), np.abs(ya)
     dx = np.abs(xb - xa)
@@ -86,11 +84,10 @@ def _pair_violations(xa, ya, xb, yb, v: float, R: float, tol: float, ha=None, hb
     return triangle, nested
 
 
-def _reach(xa, ya, v: float, R: float, tol: float, ha=None):
+def _reach(xa, ya, v: float, R: float, tol: float, ha):
     """|x_b - x_a| up to which b can violate a: w_a + tol*R*(w_a + R)/|y_a| (triangle)
-    or R/2 - h_a + tol*R (nesting), padded for rounding; arrays work too.  A caller
-    that holds a's half-width passes it as ha."""
-    ha = _half_width(ya, v, R) if ha is None else ha
+    or R/2 - h_a + tol*R (nesting), padded for rounding, with ha = `_half_width(ya)`;
+    arrays work too."""
     slack = (tol + 1e-12) * R  # 1e-12 covers the pair test's rounding
     wa = R / (2.0 * v) + ha
     with np.errstate(over="ignore"):  # |y| near 0: an infinite reach
@@ -108,11 +105,12 @@ def _violations_in_reach(X, Y, idx, n: int, v: float, R: float, tol: float):
     the w points from min(lo_i, len(X) - w) in each row: its reach and a
     few points past it, which cannot violate.
     """
-    m, reach = len(X), _reach(X, Y, v, R, tol)
+    m, H = len(X), _half_width(Y, v, R)
+    reach = _reach(X, Y, v, R, tol, H)
     lo = np.searchsorted(X, X - reach)
     width = np.searchsorted(X, X + reach) - lo  # at least 1: a point is within its reach
     rows = np.argsort(width, kind="stable")
-    widths, H = width[rows].tolist(), _half_width(Y, v, R)
+    widths = width[rows].tolist()
     found = [np.empty(0, int)], [np.empty(0, int)]
     a = 0
     while a < m:

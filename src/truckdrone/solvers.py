@@ -27,6 +27,19 @@ class BudgetError(ValueError):
     """Brute force refused: instance exceeds the point budget."""
 
 
+def _require_proper(inst: Instance, require_proper: bool) -> None:
+    """With require_proper, raise NotProperError unless inst is proper."""
+    if require_proper and not (report := check_proper(inst)).is_proper:
+        raise NotProperError(report)
+
+
+def _pack(inst: Instance, order) -> Schedule:
+    """The order launched as early as possible; a solver's order always packs."""
+    if (sched := earliest_start_pack(inst, order)) is None:  # pack lands as the solver did
+        raise RuntimeError("solver produced an unpackable order")
+    return sched
+
+
 def solve_greedy(inst: Instance) -> Schedule:
     """Repeatedly fly to the point that lands the drone earliest.
 
@@ -155,9 +168,6 @@ def dp_table(inst: Instance) -> DpTable:
     n = len(inst)
     order = np.lexsort((inst.ys, inst.xs))  # stable, so ties keep index order
     ranks, xs, ys = tuple(order.tolist()), inst.xs[order], inst.ys[order]
-    if n == 0:
-        return DpTable(np.empty((0, 0)), np.empty((0, 0), dtype=int), ranks)
-
     es, ls, er, _, in_band = window_arrays(xs, ys, inst.v, inst.R)
     es, ls = np.where(in_band, es, -np.inf), np.where(in_band, ls, -np.inf)
     completions, parents = np.empty((n, n)), np.empty((n, n), dtype=int)
@@ -194,9 +204,7 @@ def dp_table(inst: Instance) -> DpTable:
             break
         launches = nxt[live]
         depth += 1
-    parents[0] = -1
-    if depth == 0:  # no point is servable
-        return DpTable(np.array([]), np.array([]), ranks)
+    parents[:1] = -1
     return DpTable(completions[:depth], parents[:depth], ranks)
 
 
@@ -210,22 +218,13 @@ def solve_dp_proper(inst: Instance, require_proper: bool = True) -> Schedule:
     completion among x-monotone orders, which another order of the same
     count may beat, then to the leftmost rank.
     """
-    if require_proper:
-        report = check_proper(inst)
-        if not report.is_proper:
-            raise NotProperError(report)
+    _require_proper(inst, require_proper)
     table = dp_table(inst)
-    if len(table.completions) == 0:
-        return Schedule(())
-    depth = len(table.completions) - 1
-    chain = [int(np.argmin(table.completions[depth]))]
-    for r in range(depth, 0, -1):
+    depth = len(table.completions)  # 0 when no point is servable
+    chain = [int(np.argmin(table.completions[-1]))] if depth else []
+    for r in range(depth - 1, 0, -1):
         chain.append(int(table.parents[r][chain[-1]]))
-    order = [table.ranks[j] for j in reversed(chain)]
-    sched = earliest_start_pack(inst, order)
-    if sched is None:  # cannot happen: pack lands on the table's own cells
-        raise RuntimeError("dynamic program produced an unpackable order")
-    return sched
+    return _pack(inst, [table.ranks[j] for j in reversed(chain)])
 
 
 def solve_sweep(inst: Instance, require_proper: bool = True) -> Schedule:
@@ -248,10 +247,7 @@ def solve_sweep(inst: Instance, require_proper: bool = True) -> Schedule:
     earliest among x-monotone orders only; another order of the same count
     may land earlier.
     """
-    if require_proper:
-        report = check_proper(inst)
-        if not report.is_proper:
-            raise NotProperError(report)
+    _require_proper(inst, require_proper)
     v, order = inst.v, np.lexsort((inst.ys, inst.xs))  # stable, so ties keep index order
     xs, ys = inst.xs[order], inst.ys[order]
     es, ls, er, _, in_band = window_arrays(xs, ys, v, inst.R)
@@ -271,10 +267,7 @@ def solve_sweep(inst: Instance, require_proper: bool = True) -> Schedule:
     while chain:
         j, chain = chain
         picks.append(ranks[j])
-    sched = earliest_start_pack(inst, picks[::-1])
-    if sched is None:  # cannot happen: pack lands on the sweep's own cells
-        raise RuntimeError("patience sweep produced an unpackable order")
-    return sched
+    return _pack(inst, picks[::-1])
 
 
 def solve_exact(inst: Instance, max_points: int = 10) -> Schedule:
@@ -306,6 +299,4 @@ def solve_exact(inst: Instance, max_points: int = 10) -> Schedule:
 
     left = tuple(i for i, ok in enumerate(in_band) if ok)
     _, _, order = dfs((), left, inst.truck_start, (0, inst.truck_start, ()))
-    sched = earliest_start_pack(inst, order)
-    assert sched is not None
-    return sched
+    return _pack(inst, order)

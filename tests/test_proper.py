@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from truckdrone import proper
 from truckdrone.generators import gen_random_band, gen_random_proper
-from truckdrone.geometry import _minor_radius, start_window, window_arrays
+from truckdrone.geometry import _half_width, _minor_radius, start_window, window_arrays
 from truckdrone.model import DEFAULT_TOL, Instance
 from truckdrone.proper import (
     _CHUNK,
@@ -183,7 +183,9 @@ def _dense_check_proper(inst, tol=DEFAULT_TOL):
     in_band = np.abs(ys) <= _minor_radius(inst.v, inst.R)
     idx = np.flatnonzero(in_band)
     X, Y = xs[idx], ys[idx]
-    triangle, nested = _pair_violations(X[:, None], Y[:, None], X, Y, inst.v, inst.R, tol)
+    H = _half_width(Y, inst.v, inst.R)
+    triangle, nested = _pair_violations(X[:, None], Y[:, None], X, Y, inst.v, inst.R, tol,
+                                        H[:, None], H)
     np.fill_diagonal(triangle, False)
     np.fill_diagonal(nested, False)
     triangles = tuple(map(tuple, idx[np.argwhere(triangle)].tolist()))
@@ -321,8 +323,9 @@ class TestSweepMatchesDense:
         report = check_proper(inst, tol=0.0)
         assert max(sizes) == n and sorted(sizes)[-2] <= _CHUNK
         # the pairs with k against the same test run row by row
-        row = _pair_violations(X[k], Y[k], X, Y, v, R, 0.0)
-        col = _pair_violations(X, Y, X[k], Y[k], v, R, 0.0)
+        H = _half_width(Y, v, R)
+        row = _pair_violations(X[k], Y[k], X, Y, v, R, 0.0, H[k], H)
+        col = _pair_violations(X, Y, X[k], Y[k], v, R, 0.0, H, H[k])
         for pairs, as_a, as_b in zip((report.triangle_violations, report.nesting_violations),
                                      row, col):
             expected = ({(k, j) for j in np.flatnonzero(as_a).tolist() if j != k}
@@ -352,7 +355,8 @@ class TestSweepMatchesDense:
         assert max(sizes) <= _CHUNK
         # the points within each point's own reach, itself included
         X = np.sort(inst.xs)
-        reach = _reach(X, inst.ys[np.argsort(inst.xs)], 2.0, 10.0, DEFAULT_TOL)
+        Y = inst.ys[np.argsort(inst.xs)]
+        reach = _reach(X, Y, 2.0, 10.0, DEFAULT_TOL, _half_width(Y, 2.0, 10.0))
         within = int((np.searchsorted(X, X + reach) - np.searchsorted(X, X - reach)).sum())
         assert within <= 8 * len(X)  # 7.46 a point here
         assert sum(sizes) <= 1.1 * within  # 1.04 here: a grid is as wide as its widest row
@@ -430,7 +434,8 @@ class TestPairViolationsMatchCrossProducts:
             c1, c2, c3 = _cross_products(X, Y, v, R)
             reference = (c1 >= 0) & (c2 >= 0) & (c3 >= 0)
             clear = np.minimum(np.minimum(abs(c1), abs(c2)), abs(c3)) > 1e-12 * R * R
-            triangle, _ = _pair_violations(X[:, None], Y[:, None], X, Y, v, R, 0.0)
+            H = _half_width(Y, v, R)
+            triangle, _ = _pair_violations(X[:, None], Y[:, None], X, Y, v, R, 0.0, H[:, None], H)
             np.testing.assert_array_equal(triangle[clear], reference[clear])
             checked += int(clear.sum())
             hits += int(reference[clear].sum())
@@ -446,7 +451,8 @@ class TestPairViolationsMatchCrossProducts:
             d_ls = ls[:, None] - ls[None, :]   # ls_i - ls_j
             reference = (d_es <= 0) & (d_ls <= 0)
             clear = np.minimum(abs(d_es), abs(d_ls)) > 1e-12 * R
-            _, nested = _pair_violations(X[:, None], Y[:, None], X, Y, v, R, 0.0)
+            H = _half_width(Y, v, R)
+            _, nested = _pair_violations(X[:, None], Y[:, None], X, Y, v, R, 0.0, H[:, None], H)
             np.testing.assert_array_equal(nested[clear], reference[clear])
             checked += int(clear.sum())
             hits += int(reference[clear].sum())

@@ -412,6 +412,14 @@ class TestEverySolverVerifies:
                       solve_exact(inst, max_points=8)):
             assert verify_schedule(inst, sched).feasible
 
+    @pytest.mark.parametrize("solve", [solve_dp_proper, solve_sweep, solve_exact])
+    def test_an_unpackable_order_raises(self, solve, monkeypatch):
+        # the exact solvers leave through one packing exit, which raises
+        # rather than return None, also under python -O
+        monkeypatch.setattr(solvers, "earliest_start_pack", lambda inst, order: None)
+        with pytest.raises(RuntimeError, match="unpackable order"):
+            solve(gen_random_proper(6, v=2.0, R=10.0, seed=0))
+
 
 class TestExact:
     def test_budget(self):
@@ -712,8 +720,6 @@ def _dense_dp_table(inst):
     xs = np.array([inst.points[i].x for i in ranks])
     ys = np.array([inst.points[i].y for i in ranks])
     windows = window_arrays(xs, ys, inst.v, inst.R)
-    if n == 0:
-        return DpTable(np.empty((0, 0)), np.empty((0, 0), dtype=int), ranks)
     rows, parents = [], []
     row = return_positions(inst.truck_start, xs, ys, inst.v, inst.R, windows=windows)
     parent = np.full(n, -1, dtype=int)
@@ -727,7 +733,9 @@ def _dense_dp_table(inst):
         land = np.where(earlier, land, np.inf)
         row = land.min(axis=0)
         parent = land.argmin(axis=0)
-    return DpTable(np.array(rows), np.array(parents), ranks)
+    depth = len(rows)
+    return DpTable(np.array(rows, dtype=float).reshape(depth, n),
+                   np.array(parents, dtype=int).reshape(depth, n), ranks)
 
 
 def assert_same_table(inst):
@@ -849,7 +857,9 @@ class TestDpTableMatchesDense:
 
     def test_no_servable_point(self):
         inst = Instance(2.0, 10.0, [(0.0, 100.0), (3.0, -50.0)])
-        assert dp_table(inst).completions.shape == (0,)
+        table = dp_table(inst)
+        assert table.completions.shape == table.parents.shape == (0, 2)
+        assert table.parents.dtype == int
         assert_same_table(inst)
 
     @settings(max_examples=60)
@@ -1016,7 +1026,9 @@ class TestDpProper:
         assert solve_dp_proper(inst) == solve_dp_proper(inst)
 
     def test_empty(self):
-        assert solve_dp_proper(Instance(v=2.0, R=10.0)).count == 0
+        assert solve_dp_proper(Instance(v=2.0, R=10.0)) == Schedule(())
+        late = Instance(2.0, 10.0, [(0.0, 1.0), (1.0, 9.0)], truck_start=50.0)
+        assert solve_dp_proper(late, require_proper=False) == Schedule(())
 
     def test_packs_to_the_table_along_its_chain(self):
         # the table and the pack land a launch at or before es at er, so the

@@ -1,5 +1,6 @@
 """Smoke tests for tools/cli_diff.py, which compares the CLI's behaviour
-under two source trees."""
+under two source trees, and tools/rss_paths.py, which reads the benchmark's
+peak_rss_mib at checkout paths of many lengths."""
 
 import importlib.util
 import os
@@ -10,9 +11,15 @@ import truckdrone
 ROOT = Path(__file__).resolve().parent.parent
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(truckdrone.__file__)))
 
-_spec = importlib.util.spec_from_file_location("cli_diff", ROOT / "tools" / "cli_diff.py")
-cli_diff = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(cli_diff)
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+cli_diff, rss_paths = _tool("cli_diff"), _tool("rss_paths")
 
 
 def test_the_tree_agrees_with_itself():
@@ -46,3 +53,11 @@ def test_corpus_covers_every_subcommand_and_flag_pair():
     renders = {tuple(a for a in c if a.startswith("--show")) for c in commands
                if c[0] == "render"}
     assert renders >= set(cli_diff.FLAG_PAIRS)
+
+
+def test_rss_paths_reads_a_copy_at_the_asked_length():
+    with rss_paths.checkout(str(ROOT), 30) as path:
+        assert len(path) == 30 and os.path.isfile(os.path.join(path, "perfbench", "run.py"))
+        mib, correct = rss_paths.reading(path, "band-check")
+    assert correct is True and mib > 0
+    assert not os.path.exists(path)
