@@ -18,24 +18,8 @@ import sys
 import time
 from operator import itemgetter
 
-from .generators import (
-    GenerationError,
-    ThreePartitionSpec,
-    gen_greedy_tightness,
-    gen_random_band,
-    gen_random_proper,
-    gen_three_partition,
-)
-from .model import (
-    DEFAULT_TOL,
-    DeliveryPoint,
-    Instance,
-    Schedule,
-    verify_schedule,
-)
-from .proper import NotProperError, check_proper
-from .render import render_svg
-from .solvers import BudgetError, solve_exact, solve_greedy, solve_sweep
+import truckdrone  # the lazy namespace: a command loads only the modules it calls
+from .model import DEFAULT_TOL, DeliveryPoint, Instance, Schedule, verify_schedule
 
 
 class CliError(Exception):
@@ -233,9 +217,9 @@ def schedule_to_json(sched: Schedule) -> str:
 
 # name -> solver(inst, args); a refusal raises NotProperError or BudgetError
 SOLVERS = {
-    "greedy": lambda inst, args: solve_greedy(inst),
-    "dp": lambda inst, args: solve_sweep(inst, require_proper=not args.allow_nonproper),
-    "exact": lambda inst, args: solve_exact(inst, max_points=args.max_points),
+    "greedy": lambda inst, args: truckdrone.solve_greedy(inst),
+    "dp": lambda inst, args: truckdrone.solve_sweep(inst, require_proper=not args.allow_nonproper),
+    "exact": lambda inst, args: truckdrone.solve_exact(inst, max_points=args.max_points),
 }
 
 
@@ -243,8 +227,8 @@ def _solve(algo: str, inst: Instance, args):  # (schedule, completion, wall_s, r
     t0 = time.perf_counter()  # wall_s times the solver alone
     try:
         sched = SOLVERS[algo](inst, args)
-    except (NotProperError, BudgetError) as e:
-        note = "not-proper" if isinstance(e, NotProperError) else "over-budget"
+    except (truckdrone.NotProperError, truckdrone.BudgetError) as e:
+        note = "not-proper" if isinstance(e, truckdrone.NotProperError) else "over-budget"
         return None, None, time.perf_counter() - t0, (note, str(e))  # refusal: (note, reason)
     wall = time.perf_counter() - t0
     report = verify_schedule(inst, sched)  # a schedule it cannot confirm is refused too
@@ -279,7 +263,7 @@ def cmd_verify(args) -> int:
 
 def cmd_check_proper(args) -> int:
     inst = load_instance(args.input)
-    report = check_proper(inst, tol=args.tolerance)
+    report = truckdrone.check_proper(inst, tol=args.tolerance)
     sys.stdout.write(emit_json(vars(report)))
     return 0 if report.is_proper else 1
 
@@ -294,15 +278,15 @@ def _parse_values(text: str) -> tuple[int, ...]:
 def cmd_gen(args) -> int:
     try:
         if args.kind == "random":
-            inst = gen_random_band(args.n, args.v, args.R, args.x_span, args.seed)
+            inst = truckdrone.gen_random_band(args.n, args.v, args.R, args.x_span, args.seed)
         elif args.kind == "random-proper":
-            inst = gen_random_proper(args.n, args.v, args.R, args.seed)
+            inst = truckdrone.gen_random_proper(args.n, args.v, args.R, args.seed)
         elif args.kind == "partition":
-            spec = ThreePartitionSpec(_parse_values(args.values), c=args.c)
-            inst, expected = gen_three_partition(spec)
+            spec = truckdrone.ThreePartitionSpec(_parse_values(args.values), c=args.c)
+            inst, expected = truckdrone.gen_three_partition(spec)
             print(f"layout point count (acceptance 8), not an optimum: {expected}", file=sys.stderr)
         else:  # adversarial
-            inst, cert = gen_greedy_tightness(args.k, args.v, args.R)
+            inst, cert = truckdrone.gen_greedy_tightness(args.k, args.v, args.R)
             cert_json = emit_json(vars(cert))
             if args.out and args.out != "-":
                 cert_path = args.out + ".cert.json"
@@ -310,7 +294,7 @@ def cmd_gen(args) -> int:
                 print(f"certificate written to {cert_path}", file=sys.stderr)
             else:
                 sys.stderr.write(cert_json)
-    except GenerationError as e:
+    except truckdrone.GenerationError as e:
         print(f"generation failed: {e}", file=sys.stderr)
         return 1
     _write_out(instance_to_json(inst), args.out)
@@ -342,8 +326,8 @@ def cmd_compare(args) -> int:
 def cmd_render(args) -> int:
     inst = load_instance(args.instance)
     sched = load_schedule(args.schedule) if args.schedule else None
-    svg = render_svg(inst, sched, show_windows=args.show_windows,
-                     show_ellipses=args.show_ellipses)
+    svg = truckdrone.render_svg(inst, sched, show_windows=args.show_windows,
+                                show_ellipses=args.show_ellipses)
     _write_out(svg, args.out)
     return 0
 
